@@ -86,6 +86,12 @@ void count_leader_eval() {
     work->add(support::prof::WorkField::kUtilityEvals, 1);
 }
 
+void count_best_response_cycle(const SolveContext& context,
+                               const game::StackelbergResult& leader) {
+  if (context.telemetry != nullptr && leader.cycle_period > 0)
+    context.telemetry->metrics.counter("sp.best_response_cycles").add();
+}
+
 void count_sequential_fallback(const SolveContext& context) {
   if (context.telemetry != nullptr)
     context.telemetry->metrics.counter("sp.sequential_fallbacks").add();
@@ -253,6 +259,7 @@ LeaderStageResult solve_leader_stage_homogeneous(const NetworkParams& params,
     leader = run_leader_best_response(params, *scan, box, options, context);
   }
   count_best_response_rounds(context, leader.rounds);
+  count_best_response_cycle(context, leader);
 
   if (leader.converged || !options.sequential_fallback) {
     const support::SolveTrace::Scope phase(trace_of(context), "finish");
@@ -263,6 +270,7 @@ LeaderStageResult solve_leader_stage_homogeneous(const NetworkParams& params,
     result.method = SpSolveMethod::kBestResponse;
     result.converged = leader.converged;
     result.rounds = leader.rounds;
+    result.cycle_period = leader.cycle_period;
     return result;
   }
   // The simultaneous price game cycles (no pure NE): fall back to the
@@ -271,6 +279,7 @@ LeaderStageResult solve_leader_stage_homogeneous(const NetworkParams& params,
   auto result =
       solve_leader_stage_sequential(params, budget, n, mode, options);
   result.rounds += leader.rounds;
+  result.cycle_period = leader.cycle_period;
   return result;
 }
 
@@ -440,6 +449,7 @@ LeaderStageResult solve_leader_stage(const NetworkParams& params,
     leader = run_leader_best_response(params, *oracle, box, options, context);
   }
   count_best_response_rounds(context, leader.rounds);
+  count_best_response_cycle(context, leader);
   if (leader.converged || !options.sequential_fallback) {
     const support::SolveTrace::Scope phase(trace_of(context), "finish");
     auto result = finish_leader_stage(params, *oracle,
@@ -447,6 +457,7 @@ LeaderStageResult solve_leader_stage(const NetworkParams& params,
     result.method = SpSolveMethod::kBestResponse;
     result.converged = leader.converged;
     result.rounds = leader.rounds;
+    result.cycle_period = leader.cycle_period;
     return result;
   }
   // Same cycle fallback as the homogeneous path (Theorem 4's sequential
@@ -455,6 +466,7 @@ LeaderStageResult solve_leader_stage(const NetworkParams& params,
   const support::SolveTrace::Scope phase(trace_of(context), "sequential");
   auto result = sequential_with_oracle(params, *oracle, box, options, context);
   result.rounds += leader.rounds;
+  result.cycle_period = leader.cycle_period;
   return result;
 }
 

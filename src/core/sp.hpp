@@ -9,6 +9,14 @@
 // structure of Theorem 4: the CSP's reaction curve P_c*(P_e) is computed
 // first and the ESP maximizes over it.
 //
+// The price best response stops at its first exact cycle: every leader
+// payoff here is a pure function of the prices (the follower oracles are
+// deterministic, and the follower cache solves at snapped prices), so a
+// price vector that bitwise repeats an earlier round's repeats forever.
+// The Theorem 4 fallback then starts after a handful of rounds instead of
+// max_rounds and returns the same prices; LeaderStageResult::cycle_period
+// and the sp.best_response_cycles counter report the cycle.
+//
 // All entry points return one unified LeaderStageResult; the former
 // HomogeneousStackelbergResult / StackelbergEquilibriumResult split
 // survives only as deprecated shims at the bottom of this header.
@@ -85,7 +93,13 @@ struct LeaderStageResult {
   EquilibriumProfile followers; ///< follower equilibrium at those prices
   SpSolveMethod method = SpSolveMethod::kBestResponse;
   bool converged = false;
+  /// Best-response rounds actually run, plus 1 when the sequential
+  /// construction produced the answer.
   int rounds = 0;
+  /// Period of the exact price cycle the best response stopped at (0 = it
+  /// converged or ran out of rounds without one); see
+  /// game::StackelbergResult::cycle_period.
+  int cycle_period = 0;
 };
 
 /// Leader-stage solve with n identical miners of budget B. Runs Algorithm 1
@@ -93,7 +107,8 @@ struct LeaderStageResult {
 /// first; when that cycles — the simultaneous-move leader game can lack a
 /// pure NE exactly as Theorem 4 anticipates — it falls back to the
 /// sequential construction of solve_leader_stage_sequential and reports
-/// method = kSequential. The follower stage is the symmetric fast-path
+/// method = kSequential as soon as the price iterate repeats exactly (see
+/// the header comment). The follower stage is the symmetric fast-path
 /// oracle, making price sweeps cheap.
 [[nodiscard]] LeaderStageResult solve_leader_stage_homogeneous(
     const NetworkParams& params, double budget, int n, EdgeMode mode,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "numerics/optimize.hpp"
 #include "support/error.hpp"
@@ -9,6 +10,23 @@
 #include "support/telemetry.hpp"
 
 namespace hecmine::game {
+
+namespace {
+
+/// End-of-round state of the leader iteration: what a loop stopped after
+/// that round would report.
+struct RoundEnd {
+  std::vector<double> actions;
+  std::vector<double> payoffs;
+  double residual = 0.0;
+};
+
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+}  // namespace
 
 StackelbergResult solve_stackelberg(const LeaderPayoffFn& payoff,
                                     std::vector<double> start,
@@ -45,6 +63,10 @@ StackelbergResult solve_stackelberg(const LeaderPayoffFn& payoff,
                                    ? &options.context.telemetry->trace
                                    : nullptr;
 
+  // history[k] is the state after round k (history[0] = the start). A
+  // round's outcome depends only on the action vector it starts from (the
+  // LeaderPayoffFn contract), so a bitwise revisit means a cycle.
+  std::vector<RoundEnd> history{{result.actions, {}, 0.0}};
   for (int round = 0; round < options.max_rounds; ++round) {
     const support::SolveTrace::Scope round_span(trace, "leader.round");
     result.rounds = round + 1;
@@ -82,6 +104,28 @@ StackelbergResult solve_stackelberg(const LeaderPayoffFn& payoff,
     }
     if (round_change < options.tolerance) {
       result.converged = true;
+      break;
+    }
+    const auto earlier = static_cast<int>(
+        std::find_if(history.begin(), history.end(),
+                     [&](const RoundEnd& e) {
+                       return same_bits(e.actions, result.actions);
+                     }) -
+        history.begin());
+    history.push_back({result.actions, result.payoffs, round_change});
+    if (earlier < result.rounds) {
+      // Rounds r - p + 1 .. r repeat forever; a loop run to max_rounds
+      // would end on the one in the same phase as max_rounds.
+      const int r = result.rounds;
+      const int period = r - earlier;
+      result.cycle_period = period;
+      if (r < options.max_rounds) {
+        const RoundEnd& last = history[static_cast<std::size_t>(
+            r - period + 1 + (options.max_rounds - r - 1) % period)];
+        result.actions = last.actions;
+        result.payoffs = last.payoffs;
+        result.residual = last.residual;
+      }
       break;
     }
   }

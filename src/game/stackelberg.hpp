@@ -5,6 +5,9 @@
 // equilibrium computation is embedded in the leader payoff oracle supplied
 // by the caller. The driver runs asynchronous (Gauss-Seidel) best-response
 // over leaders, each best response computed by a robust 1-D scan+refine.
+// The round map is deterministic, so the iteration stops at the first round
+// whose action vector bitwise repeats an earlier one: from there on the
+// iterate cycles and can never meet the tolerance.
 #pragma once
 
 #include <functional>
@@ -20,6 +23,14 @@ namespace hecmine::game {
 /// concurrently, so the oracle must tolerate concurrent invocation (the
 /// library's follower solvers are pure and qualify; a memoizing oracle must
 /// use a thread-safe cache such as core::FollowerEquilibriumCache).
+///
+/// Contract: the returned value is a pure function of (actions, leader) —
+/// no dependence on call order, call count or earlier calls.
+/// solve_stackelberg relies on it to stop at the first exact cycle
+/// (StackelbergResult::cycle_period). The library oracles qualify:
+/// FollowerEquilibriumCache solves at snapped prices, so a hit and a miss
+/// return the same bits, and PopulationExpectationOracle draws only from
+/// context.rng_root.
 using LeaderPayoffFn =
     std::function<double(const std::vector<double>& actions, std::size_t leader)>;
 
@@ -64,8 +75,14 @@ struct StackelbergResult {
   /// noise once converged.
   std::vector<double> payoffs;
   double residual = 0.0;         ///< last round's max action change
-  int rounds = 0;
+  int rounds = 0;                ///< rounds actually run
   bool converged = false;
+  /// Period p of the exact cycle the iteration stopped at (0 = none): the
+  /// action vector after round `rounds` is bitwise the vector after round
+  /// `rounds` - p. Every later round would repeat the cycle, so the
+  /// iteration stops there and reports actions, payoffs and residual exactly as a
+  /// loop run to max_rounds would have ended (converged stays false).
+  int cycle_period = 0;
 };
 
 /// Asynchronous best-response over leaders (paper's Algorithm 1; with the

@@ -23,6 +23,14 @@ int resolve_thread_count(int requested) {
 /// cursor, so scheduling only decides *who* runs an item, never *what* the
 /// item computes; `done` counts finished items so the issuing thread can
 /// block until the stragglers claimed by workers drain.
+///
+/// The Batch itself is shared with the queued helper tasks, but `body` and
+/// `telemetry` belong to the issuer and die when parallel_for returns. A
+/// helper dequeued after that must not touch them: once every item is done
+/// the issuer sets `closed` and waits until no helper is `active`, and a
+/// helper starting after `closed` returns at once. Helpers still in the
+/// queue are never waited for — a nested parallel_for issued from a pool
+/// task could otherwise wait on a task queued behind itself.
 struct ThreadPool::Batch {
   std::size_t size = 0;
   const std::function<void(std::size_t)>* body = nullptr;
@@ -30,6 +38,8 @@ struct ThreadPool::Batch {
   std::atomic<std::size_t> done{0};
   std::atomic<bool> cancelled{false};
   std::exception_ptr error;  // first failure; guarded by mutex
+  bool closed = false;       // issuer is leaving; guarded by mutex
+  int active = 0;            // helpers inside run_batch; guarded by mutex
   std::mutex mutex;
   std::condition_variable finished;
   Telemetry* telemetry = nullptr;  // issuer's sink, propagated to executors
@@ -93,6 +103,17 @@ std::future<void> ThreadPool::submit(std::function<void()> task) {
   return future;
 }
 
+void ThreadPool::run_helper(Batch& batch) {
+  {
+    std::lock_guard<std::mutex> lock(batch.mutex);
+    if (batch.closed) return;
+    ++batch.active;
+  }
+  run_batch(batch);
+  std::lock_guard<std::mutex> lock(batch.mutex);
+  if (--batch.active == 0) batch.finished.notify_all();
+}
+
 void ThreadPool::run_batch(Batch& batch) {
   if (batch.telemetry != nullptr) {
     // Propagate the issuer's sink to this executor and record its busy
@@ -146,12 +167,14 @@ void ThreadPool::parallel_for(std::size_t n,
   if (batch->telemetry != nullptr)
     batch->telemetry->metrics.counter("pool.batches").add();
   for (std::size_t helper = 0; helper + 1 < executors; ++helper)
-    enqueue([batch] { run_batch(*batch); });
+    enqueue([batch] { run_helper(*batch); });
   run_batch(*batch);  // the issuer participates — no idle blocking, and a
                       // nested call from a pool task cannot deadlock
   {
     std::unique_lock<std::mutex> lock(batch->mutex);
     batch->finished.wait(lock, [&] { return batch->done.load() == n; });
+    batch->closed = true;
+    batch->finished.wait(lock, [&] { return batch->active == 0; });
     if (batch->error) std::rethrow_exception(batch->error);
   }
 }

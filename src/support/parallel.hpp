@@ -77,6 +77,7 @@ class ThreadPool {
 
   void enqueue(std::function<void()> task);
   void worker_loop();
+  static void run_helper(Batch& batch);
   static void run_batch(Batch& batch);
   static void claim_loop(Batch& batch);
 

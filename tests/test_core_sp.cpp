@@ -1,6 +1,6 @@
 // Tests for core/sp: SP profits, the leader-stage equilibria (Algorithms 1
-// and 2), the CSP reaction curve (Theorem 4 structure), and the paper's
-// cross-mode claims.
+// and 2), the CSP reaction curve (Theorem 4 structure), the paper's
+// cross-mode claims, and the price best response's exact-cycle exit.
 #include "core/sp.hpp"
 
 #include "core/oracle.hpp"
@@ -10,7 +10,9 @@
 #include <cmath>
 
 #include "core/closed_forms.hpp"
+#include "game/stackelberg.hpp"
 #include "support/error.hpp"
+#include "support/telemetry.hpp"
 
 namespace hecmine::core {
 namespace {
@@ -214,6 +216,146 @@ TEST(SpSolve, ValidatesInputs) {
                support::PreconditionError);
   EXPECT_THROW((void)solve_sp_equilibrium(params, {}, EdgeMode::kConnected),
                support::PreconditionError);
+}
+
+TEST(LeaderStageCycle, SpPriceBestResponseCyclesAsDocumented) {
+  // The literal Algorithm-1 price dynamics on the sufficient-budget
+  // homogeneous game: each SP best-responds to the other's last price.
+  // The dynamics must NOT settle (the simultaneous game lacks a pure NE
+  // here) — the diagnosis behind the sequential fallback of
+  // solve_leader_stage_homogeneous. solve_stackelberg sees the price
+  // vector repeat exactly and stops well inside its round budget.
+  const NetworkParams params = default_params();
+  const double budget = 40.0;
+  const int n = 5;
+  const game::LeaderPayoffFn payoff = [&](const std::vector<double>& prices,
+                                          std::size_t leader) {
+    const Prices p{prices[0], prices[1]};
+    const auto eq = solve_followers_symmetric(params, p, budget, n,
+                                              EdgeMode::kConnected);
+    const auto profits = sp_profits(params, p, eq.totals);
+    return leader == 0 ? profits.edge : profits.cloud;
+  };
+  game::StackelbergOptions options;
+  options.grid_points = 60;
+  options.max_rounds = 30;
+  options.tolerance = 1e-3;
+  options.context.threads = 1;
+  const std::vector<game::ActionBounds> bounds{
+      {params.cost_edge * 1.001, 52.0}, {params.cost_cloud * 1.001, 52.0}};
+  const auto result =
+      game::solve_stackelberg(payoff, {3.0, 1.2}, bounds, options);
+  EXPECT_FALSE(result.converged);
+  EXPECT_GE(result.cycle_period, 2);
+  EXPECT_LT(result.rounds, options.max_rounds);
+  EXPECT_GT(result.residual, 1.0);  // the cycle spans a wide price range
+}
+
+/// One leader-stage game whose prices were recorded (as hex floats) on the
+/// full 60-round best response, before the exact-cycle exit existed.
+struct PinnedGame {
+  const char* name;
+  std::vector<double> budgets;
+  EdgeMode mode;
+  double edge_capacity;
+  int grid_points;
+  double price_edge;
+  double price_cloud;
+};
+
+LeaderStageResult solve_pinned(const PinnedGame& game, int threads,
+                               support::Telemetry* telemetry = nullptr) {
+  NetworkParams params = default_params();
+  params.edge_capacity = game.edge_capacity;
+  SpSolveOptions options;  // library defaults: 60 rounds, tolerance 1e-5
+  options.grid_points = game.grid_points;
+  options.context.threads = threads;
+  options.context.telemetry = telemetry;
+  return solve_leader_stage(params, game.budgets, game.mode, options);
+}
+
+/// The cycle exit must change no answer: the same prices bit for bit, the
+/// same Theorem 4 fallback, far fewer rounds, and no thread dependence.
+void expect_pinned(const PinnedGame& game) {
+  SCOPED_TRACE(game.name);
+  support::Telemetry sink;
+  const LeaderStageResult serial = solve_pinned(game, 1, &sink);
+  EXPECT_EQ(serial.prices.edge, game.price_edge);
+  EXPECT_EQ(serial.prices.cloud, game.price_cloud);
+  EXPECT_EQ(serial.method, SpSolveMethod::kSequential);
+  EXPECT_TRUE(serial.converged);
+  EXPECT_LE(serial.rounds, 14);  // was 61: 60 wasted rounds + the fallback
+  EXPECT_GE(serial.cycle_period, 2);
+  EXPECT_EQ(sink.metrics.counter("sp.best_response_cycles").value(), 1u);
+  EXPECT_EQ(sink.metrics.counter("sp.sequential_fallbacks").value(), 1u);
+  const LeaderStageResult threaded = solve_pinned(game, 2);
+  EXPECT_EQ(threaded.prices.edge, serial.prices.edge);
+  EXPECT_EQ(threaded.prices.cloud, serial.prices.cloud);
+  EXPECT_EQ(threaded.rounds, serial.rounds);
+}
+
+TEST(LeaderStageCycle, SymmetricPathPricesArePinned) {
+  const std::vector<PinnedGame> games{
+      {"connected n=5 B=40", std::vector<double>(5, 40.0),
+       EdgeMode::kConnected, 8.0, 40, 0x1.91c0bcde804bcp+2,
+       0x1.1d1bace812d35p+1},
+      {"connected n=8 B=20", std::vector<double>(8, 20.0),
+       EdgeMode::kConnected, 4.0, 40, 0x1.91b81d0d61a8bp+2,
+       0x1.1d17a9f18a311p+1},
+      {"standalone n=5 B=40", std::vector<double>(5, 40.0),
+       EdgeMode::kStandalone, 8.0, 40, 0x1.cd9d1c45ad59ep+1,
+       0x1.c9f25c4fecd66p+0},
+      {"standalone n=8 B=20", std::vector<double>(8, 20.0),
+       EdgeMode::kStandalone, 4.0, 40, 0x1.b360d403e3f12p+2,
+       0x1.52a7fa2b760bfp+1},
+  };
+  for (const PinnedGame& game : games) expect_pinned(game);
+}
+
+TEST(LeaderStageCycle, ConnectedProfilePathPricesArePinned) {
+  expect_pinned({"connected budgets {10, 15}", {10.0, 15.0},
+                 EdgeMode::kConnected, 8.0, 8, 0x1.91c597a354e82p+2,
+                 0x1.1d1def1460459p+1});
+}
+
+TEST(LeaderStageCycle, StandaloneProfilePathPricesArePinned) {
+  expect_pinned({"standalone budgets {20, 30}", {20.0, 30.0},
+                 EdgeMode::kStandalone, 20.0, 8, 0x1.a426c26ebcda7p+2,
+                 0x1.1b9b4d90fd477p+1});
+}
+
+TEST(LeaderStageCycle, NoFallbackReturnsTheFullLoopsLastRound) {
+  // With the fallback off the caller gets the raw best-response iterate.
+  // The prices below are where the full loop ended for max_rounds = 60..63
+  // (recorded before the cycle exit existed): one per phase of this game's
+  // period-4 cycle. The early exit must land on each of them exactly.
+  struct Phase {
+    int max_rounds;
+    double price_edge;
+    double price_cloud;
+  };
+  const std::vector<Phase> phases{
+      {60, 0x1.d6edd2ddbec4cp+1, 0x1.8f68be2ef2102p+0},
+      {61, 0x1.e946b5cb9b71ep+0, 0x1.fd2268c5e4f87p-1},
+      {62, 0x1.ap+5, 0x1.0482681079654p+3},
+      {63, 0x1.3f1fbf7f3faa7p+3, 0x1.806e8cc4edbc3p+1},
+  };
+  const NetworkParams params = default_params();
+  for (const Phase& phase : phases) {
+    SCOPED_TRACE(phase.max_rounds);
+    SpSolveOptions options;
+    options.sequential_fallback = false;
+    options.max_rounds = phase.max_rounds;
+    options.context.threads = 1;
+    const auto result = solve_leader_stage_homogeneous(
+        params, 40.0, 5, EdgeMode::kConnected, options);
+    EXPECT_EQ(result.prices.edge, phase.price_edge);
+    EXPECT_EQ(result.prices.cloud, phase.price_cloud);
+    EXPECT_EQ(result.method, SpSolveMethod::kBestResponse);
+    EXPECT_FALSE(result.converged);
+    EXPECT_EQ(result.cycle_period, 4);
+    EXPECT_EQ(result.rounds, 6);  // rounds actually run
+  }
 }
 
 }  // namespace

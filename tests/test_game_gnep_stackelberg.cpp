@@ -1,7 +1,10 @@
-// Tests for game/gnep and game/stackelberg on toys with known solutions.
+// Tests for game/gnep and game/stackelberg on toys with known solutions,
+// including the leader iteration's exact-cycle exit.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <cstring>
 
 #include "game/gnep.hpp"
 #include "game/stackelberg.hpp"
@@ -124,6 +127,144 @@ TEST(Stackelberg, ValidatesBounds) {
                support::PreconditionError);
   EXPECT_THROW((void)solve_stackelberg(payoff, {0.0}, {{0.0, 1.0}, {0.0, 1.0}}),
                support::PreconditionError);
+}
+
+// --- exact-cycle exit -------------------------------------------------------
+//
+// Integer-valued toys: with bounds [lo, hi] and grid_points = hi - lo + 1
+// the scan grid holds every integer exactly, and a payoff
+// c(rival) - (own - target(rival))^2 with an integer target peaks on the
+// grid, so each best response returns the target bit for bit and its
+// payoff value is c(rival).
+
+/// Two leaders; leader i's best response to the other's current action x
+/// is targets[i](x), and its payoff at the optimum is 10 x.
+LeaderPayoffFn integer_game(std::function<double(double)> target0,
+                            std::function<double(double)> target1) {
+  return [target0, target1](const std::vector<double>& actions,
+                            std::size_t leader) {
+    const double rival = actions[1 - leader];
+    const double target = leader == 0 ? target0(rival) : target1(rival);
+    const double gap = actions[leader] - target;
+    return 10.0 * rival - gap * gap;
+  };
+}
+
+StackelbergOptions integer_options(int max_rounds, double hi) {
+  StackelbergOptions options;
+  options.max_rounds = max_rounds;
+  options.grid_points = static_cast<int>(hi) + 1;
+  options.context.threads = 1;
+  return options;
+}
+
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+/// Leader 0 matches leader 1; leader 1 answers x with next[x]. From (0, 0)
+/// the states run (0,1) (1,2) (2,3) (3,4) (4,2) (2,3): round 6 repeats
+/// round 3, a period-3 cycle after a 3-round tail.
+LeaderPayoffFn tail_then_period_three() {
+  return integer_game([](double x) { return x; },
+                      [](double x) {
+                        static constexpr std::array<double, 5> next{
+                            1.0, 2.0, 3.0, 4.0, 2.0};
+                        return next[static_cast<std::size_t>(x)];
+                      });
+}
+
+TEST(StackelbergCycleExit, DetectsPeriodTwoCycle) {
+  // Matching pennies on {0, 1}: leader 0 matches, leader 1 mismatches.
+  // (0,1) (1,0) (0,1): round 3 repeats round 1.
+  const auto payoff = integer_game([](double x) { return x; },
+                                   [](double x) { return 1.0 - x; });
+  const std::vector<ActionBounds> bounds{{0.0, 1.0}, {0.0, 1.0}};
+  const auto result =
+      solve_stackelberg(payoff, {0.0, 0.0}, bounds, integer_options(200, 1.0));
+  EXPECT_FALSE(result.converged);
+  EXPECT_EQ(result.cycle_period, 2);
+  EXPECT_EQ(result.rounds, 3);
+  EXPECT_EQ(result.residual, 1.0);
+  // Round 200 is in the phase of round 2.
+  EXPECT_EQ(result.actions, (std::vector<double>{1.0, 0.0}));
+}
+
+TEST(StackelbergCycleExit, DetectsLongerCyclesAfterATail) {
+  const std::vector<ActionBounds> bounds{{0.0, 4.0}, {0.0, 4.0}};
+  const auto result = solve_stackelberg(tail_then_period_three(), {0.0, 0.0},
+                                        bounds, integer_options(200, 4.0));
+  EXPECT_FALSE(result.converged);
+  EXPECT_EQ(result.cycle_period, 3);
+  EXPECT_EQ(result.rounds, 6);
+  // A full loop ends on round 200, in the phase of round 5: (3,4) ->
+  // (4,2), both leaders answering a rival action of 4.
+  EXPECT_EQ(result.actions, (std::vector<double>{4.0, 2.0}));
+  EXPECT_EQ(result.payoffs, (std::vector<double>{40.0, 40.0}));
+  EXPECT_EQ(result.residual, 2.0);
+}
+
+TEST(StackelbergCycleExit, EveryRoundBudgetMatchesTheFullLoop) {
+  // The early exit must return exactly what a loop run to max_rounds = M
+  // returns. Up to the detection round r = 6 the loop runs in full; past
+  // it, round M is the cycle round r - p + 1 .. r in the same phase.
+  constexpr int kTail = 6;
+  constexpr int kPeriod = 3;
+  const std::vector<ActionBounds> bounds{{0.0, 4.0}, {0.0, 4.0}};
+  const auto solve = [&](int max_rounds) {
+    return solve_stackelberg(tail_then_period_three(), {0.0, 0.0}, bounds,
+                             integer_options(max_rounds, 4.0));
+  };
+  for (int m = 1; m <= 3 * kPeriod + kTail; ++m) {
+    const int same_phase =
+        m <= kTail ? m : kTail - kPeriod + 1 + (m - kTail - 1) % kPeriod;
+    const auto result = solve(m);
+    const auto reference = solve(same_phase);
+    EXPECT_EQ(result.rounds, std::min(m, kTail)) << "M=" << m;
+    EXPECT_EQ(result.cycle_period, m >= kTail ? kPeriod : 0) << "M=" << m;
+    EXPECT_TRUE(same_bits(result.actions, reference.actions)) << "M=" << m;
+    EXPECT_TRUE(same_bits(result.payoffs, reference.payoffs)) << "M=" << m;
+    EXPECT_EQ(result.residual, reference.residual) << "M=" << m;
+    EXPECT_EQ(result.converged, reference.converged) << "M=" << m;
+    EXPECT_FALSE(result.converged) << "M=" << m;
+  }
+}
+
+TEST(StackelbergCycleExit, ReportsNoCycleOnSlowDrift) {
+  // Each leader answers the other's action plus one: the iterate climbs
+  // without ever revisiting a state inside the round budget.
+  const auto payoff = integer_game([](double x) { return x + 1.0; },
+                                   [](double x) { return x + 1.0; });
+  const std::vector<ActionBounds> bounds{{0.0, 100.0}, {0.0, 100.0}};
+  const auto result =
+      solve_stackelberg(payoff, {0.0, 0.0}, bounds, integer_options(20, 100.0));
+  EXPECT_FALSE(result.converged);
+  EXPECT_EQ(result.cycle_period, 0);
+  EXPECT_EQ(result.rounds, 20);
+  EXPECT_EQ(result.actions, (std::vector<double>{39.0, 40.0}));
+}
+
+TEST(StackelbergCycleExit, ConvergedRunReportsNoCycle) {
+  // Both leaders match: (1, 3) -> (3, 3) -> (3, 3). The fixed point is
+  // convergence under any positive tolerance; at tolerance 0 the loop can
+  // never stop on it, so the repeat is reported as a period-1 cycle.
+  const auto payoff = integer_game([](double x) { return x; },
+                                   [](double x) { return x; });
+  const std::vector<ActionBounds> bounds{{0.0, 4.0}, {0.0, 4.0}};
+  auto options = integer_options(200, 4.0);
+  const auto converged = solve_stackelberg(payoff, {1.0, 3.0}, bounds, options);
+  EXPECT_TRUE(converged.converged);
+  EXPECT_EQ(converged.cycle_period, 0);
+  EXPECT_EQ(converged.rounds, 2);
+  EXPECT_EQ(converged.actions, (std::vector<double>{3.0, 3.0}));
+
+  options.tolerance = 0.0;
+  const auto exact = solve_stackelberg(payoff, {1.0, 3.0}, bounds, options);
+  EXPECT_FALSE(exact.converged);
+  EXPECT_EQ(exact.cycle_period, 1);
+  EXPECT_EQ(exact.rounds, 2);
+  EXPECT_EQ(exact.actions, (std::vector<double>{3.0, 3.0}));
 }
 
 }  // namespace

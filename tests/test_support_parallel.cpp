@@ -1,18 +1,21 @@
 // Tests for support/parallel: pool correctness, exception propagation,
-// nested dispatch, determinism of parallel_map, and thread-count
-// resolution (HECMINE_THREADS).
+// nested dispatch, sink lifetime under late helpers, determinism of
+// parallel_map, and thread-count resolution (HECMINE_THREADS).
 #include "support/parallel.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdlib>
+#include <memory>
 #include <numeric>
 #include <stdexcept>
 #include <vector>
 
 #include "support/error.hpp"
+#include "support/prof.hpp"
 #include "support/rng.hpp"
+#include "support/telemetry.hpp"
 
 namespace hecmine::support {
 namespace {
@@ -135,6 +138,39 @@ TEST(ThreadPool, NestedSubmitFromATaskCompletes) {
   });
   outer.get();
   EXPECT_EQ(ran.load(), 2);
+}
+
+TEST(ThreadPool, SinkScopedBatchesNeverOutliveTheirSink) {
+  // The pattern of every telemetry-attached parallel solve: a sink lives
+  // for one parallel_for and dies right after it returns. Helper tasks
+  // dequeued after that must not open their pool.batch span on the dead
+  // sink (a heap-use-after-free under ASan, crashes or hangs without).
+  // The nested round checks that the issuer never waits on a helper still
+  // queued behind a nested issuer.
+  ThreadPool pool(3);
+  for (int round = 0; round < 1000; ++round) {
+    auto sink = std::make_unique<Telemetry>();
+    std::atomic<std::size_t> sum{0};
+    {
+      const TelemetryScope scope(sink.get());
+      pool.parallel_for(
+          8,
+          [&](std::size_t i) {
+            prof::ThreadWorkBlock* work = prof::current_block();
+            ASSERT_NE(work, nullptr);
+            work->add(prof::WorkField::kBestResponseEvals, i + 1);
+            if (round % 10 == 0)
+              pool.parallel_for(
+                  2, [&](std::size_t j) { sum.fetch_add(j); }, 2);
+            sum.fetch_add(i);
+          },
+          4);
+    }
+    ASSERT_EQ(sum.load(), round % 10 == 0 ? 28u + 8u : 28u) << round;
+    ASSERT_EQ(sink->work.total()[prof::WorkField::kBestResponseEvals], 36u)
+        << round;
+    sink.reset();
+  }
 }
 
 TEST(ParallelMap, PreservesIndexOrderForEveryThreadCount) {
