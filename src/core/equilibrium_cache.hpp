@@ -4,15 +4,23 @@
 // profiles: consecutive rounds re-scan overlapping grids, the golden-section
 // refines probe clustered points, and the final-payoff pass re-evaluates the
 // converged profile. Every such evaluation is a full miner Nash/GNEP solve,
-// so memoizing them is the single biggest win on the hot path.
+// which memoizing was meant to save; EXPERIMENTS.md measures the cache as
+// a slowdown on the homogeneous stage, whose follower is a closed form.
 //
 // Keys quantize prices onto a uniform grid of pitch `price_quantum`, and —
 // crucially for determinism — the *solver runs at the snapped price*, not
 // the requested one (snap_prices). Two threads racing on nearby prices that
 // share a key therefore compute the identical value, so parallel runs stay
-// bitwise equal to serial runs no matter who wins the race. The quantum
-// (default 1e-7) sits far below the leader tolerance (1e-5), so snapping is
-// invisible at equilibrium scale.
+// bitwise equal to serial runs no matter who wins the race.
+//
+// Snapping is NOT invisible, although the quantum (default 1e-7) sits far
+// below the leader tolerance (1e-5): the leader's profit is flat near its
+// optimum, so a 1e-7 shift in the follower solves can move the scans to
+// another point of that plateau. Measured with a default cache against
+// none: on bench_perf_leader_stage's homogeneous game P_e moves 6.2774 ->
+// 6.3190, and on the first 8 price-profile benchmark games (distinct
+// budgets, connected and standalone) P_e moves by up to 2.1%, V_c by
+// 0.02-0.46% and V_e by up to 0.02%.
 //
 // The cache is LRU-bounded and thread-safe; solves happen *outside* the
 // lock so concurrent misses on different keys do not serialize (a duplicate

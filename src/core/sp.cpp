@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <optional>
 
@@ -11,6 +12,7 @@
 #include "numerics/optimize.hpp"
 #include "numerics/roots.hpp"
 #include "support/error.hpp"
+#include "support/parallel.hpp"
 #include "support/telemetry.hpp"
 
 namespace hecmine::core {
@@ -200,9 +202,89 @@ double csp_reaction_with_oracle(const NetworkParams& params,
       .argmax;
 }
 
+/// The CSP's reaction P_c*(P_e) on the full-profile path, located by the
+/// reaction scan's P_c grid (the abscissae of maximize_scan) and refined
+/// by ONE golden-section search. The best grid cells of this objective are
+/// neighbours, so the three overlapping refines of maximize_scan converge
+/// on the same maximum; `cell` records where it was found so a nearby P_e
+/// can skip the grid.
+class CspReactionCurve {
+ public:
+  struct Point {
+    double price = 0.0;  ///< P_c*(P_e)
+    int cell = 0;        ///< best P_c grid cell of the reaction scan
+  };
+
+  CspReactionCurve(const NetworkParams& params, const FollowerOracle& oracle,
+                   const PriceBox& box, int cells)
+      : params_(params), oracle_(oracle), box_(box), cells_(cells) {
+    HECMINE_REQUIRE(cells_ >= 2, "CSP reaction scan needs two grid points");
+  }
+
+  /// Full reaction: the P_c grid, then one refine around its best cell.
+  [[nodiscard]] Point at(double price_edge) const {
+    Point best;
+    double best_value = -std::numeric_limits<double>::infinity();
+    for (int cell = 0; cell < cells_; ++cell) {
+      const double price = grid_price(cell);
+      const double value = csp_profit(price_edge, price);
+      if (value > best_value) {
+        best = {price, cell};
+        best_value = value;
+      }
+    }
+    const auto refined = refine(price_edge, best.cell, best.cell);
+    if (refined.value > best_value) best.price = refined.argmax;
+    return best;
+  }
+
+  /// Reaction known to lie within grid cells [first, last] (one cell of
+  /// slack each side): one refine, no grid.
+  [[nodiscard]] double within(double price_edge, int first, int last) const {
+    return refine(price_edge, first, last).argmax;
+  }
+
+ private:
+  [[nodiscard]] double grid_price(int cell) const {
+    return box_.cloud.lo + (box_.cloud.hi - box_.cloud.lo) *
+                               static_cast<double>(cell) /
+                               static_cast<double>(cells_ - 1);
+  }
+
+  [[nodiscard]] double csp_profit(double price_edge,
+                                  double price_cloud) const {
+    count_leader_eval();
+    const Prices prices{price_edge, price_cloud};
+    return sp_profits(params_, prices, oracle_.solve(prices).totals).cloud;
+  }
+
+  /// Golden-section search over [cell first - 1, cell last + 1], clamped
+  /// to the box (maximize_scan's refine interval when first == last).
+  [[nodiscard]] num::Maximize1DResult refine(double price_edge, int first,
+                                             int last) const {
+    const double step =
+        (box_.cloud.hi - box_.cloud.lo) / static_cast<double>(cells_ - 1);
+    num::Maximize1DOptions options;
+    options.tolerance = 1e-8;
+    return num::golden_section_maximize(
+        [&](double price_cloud) { return csp_profit(price_edge, price_cloud); },
+        std::max(box_.cloud.lo, grid_price(first) - step),
+        std::min(box_.cloud.hi, grid_price(last) + step), options);
+  }
+
+  const NetworkParams& params_;
+  const FollowerOracle& oracle_;
+  PriceBox box_;
+  int cells_;
+};
+
 /// Oracle-generic Theorem 4 construction: compute the CSP's numeric
 /// reaction curve P_c*(P_e) against the given follower oracle, substitute
-/// it into V_e and maximize the one-dimensional composite. Mirrors
+/// it into V_e and maximize the one-dimensional composite with
+/// maximize_scan's grid + top-3 refines. The outer grid records each
+/// point's best P_c cell, so the composite inside the refine around grid
+/// point k runs one golden-section reaction refine over the cells of
+/// points k-1..k+1 instead of a fresh P_c grid. Mirrors
 /// solve_leader_stage_sequential (which keeps the cheaper homogeneous
 /// reaction solver) for arbitrary oracles; solve_leader_stage uses it as
 /// the cycle fallback of the full-profile path.
@@ -211,25 +293,69 @@ LeaderStageResult sequential_with_oracle(const NetworkParams& params,
                                          const PriceBox& box,
                                          const SpSolveOptions& options,
                                          const SolveContext& context) {
-  const auto csp_reaction = [&](double price_edge) {
-    return csp_reaction_with_oracle(params, oracle, box, price_edge, options);
-  };
+  const CspReactionCurve reaction(params, oracle, box, options.grid_points);
   num::Maximize1DOptions scan;
   scan.grid_points = std::max(4 * options.grid_points, 160);
   scan.tolerance = 1e-7;
-  // Each composite point runs a full reaction scan (serial inside), so the
-  // outer scan is the stage to fan out.
-  const auto composite = [&](double price_edge) {
+  const auto edge_profit = [&](double price_edge, double price_cloud) {
     count_leader_eval();
-    const Prices prices{price_edge, csp_reaction(price_edge)};
+    const Prices prices{price_edge, price_cloud};
     return sp_profits(params, prices, oracle.solve(prices).totals).edge;
   };
-  const auto best = num::maximize_scan_parallel(composite, box.edge.lo,
-                                                box.edge.hi, scan,
-                                                context.threads);
+  const auto composite = [&](double price_edge) {
+    return edge_profit(price_edge, reaction.at(price_edge).price);
+  };
+  // Each composite point runs its reaction serially inside, so the outer
+  // grid and the outer refines are the stages to fan out. Both write only
+  // their own slot, so every thread count gives the same answer.
+  const int executors = support::resolve_thread_count(context.threads);
+  std::vector<double> grid;  // outer P_e grid, as the scan laid it out
+  std::vector<int> cells;    // best P_c cell of each outer grid point
+  const num::BatchEvaluateFn batch = [&](const std::vector<double>& xs) {
+    grid = xs;
+    cells.assign(xs.size(), 0);
+    return support::parallel_map(
+        xs.size(),
+        [&](std::size_t i) {
+          const CspReactionCurve::Point point = reaction.at(xs[i]);
+          cells[i] = point.cell;
+          return edge_profit(xs[i], point.price);
+        },
+        executors);
+  };
+  const num::RefineRunnerFn refine =
+      [&](const std::vector<num::RefineInterval>& intervals) {
+        // The refine around grid point k spans points k-1..k+1 (clamped to
+        // the box); half a grid step of slack absorbs rounding in its ends.
+        const double slack = 0.5 * (box.edge.hi - box.edge.lo) /
+                             static_cast<double>(grid.size() - 1);
+        return support::parallel_map(
+            intervals.size(),
+            [&](std::size_t r) {
+              const num::RefineInterval& interval = intervals[r];
+              int first = options.grid_points - 1;
+              int last = 0;
+              for (std::size_t k = 0; k < grid.size(); ++k) {
+                if (grid[k] < interval.lo - slack ||
+                    grid[k] > interval.hi + slack)
+                  continue;
+                first = std::min(first, cells[k]);
+                last = std::max(last, cells[k]);
+              }
+              return num::golden_section_maximize(
+                  [&](double price_edge) {
+                    return edge_profit(
+                        price_edge, reaction.within(price_edge, first, last));
+                  },
+                  interval.lo, interval.hi, scan);
+            },
+            executors);
+      };
+  const auto best = num::maximize_scan_batched(composite, batch, refine,
+                                               box.edge.lo, box.edge.hi, scan);
   Prices prices;
   prices.edge = best.argmax;
-  prices.cloud = csp_reaction(prices.edge);
+  prices.cloud = reaction.at(prices.edge).price;
   auto result = finish_leader_stage(params, oracle, prices);
   result.method = SpSolveMethod::kSequential;
   result.converged = true;
@@ -468,57 +594,6 @@ LeaderStageResult solve_leader_stage(const NetworkParams& params,
   result.rounds += leader.rounds;
   result.cycle_period = leader.cycle_period;
   return result;
-}
-
-// --- deprecated shims ------------------------------------------------------
-
-namespace {
-
-HomogeneousStackelbergResult to_homogeneous(const LeaderStageResult& result) {
-  HomogeneousStackelbergResult legacy;
-  legacy.prices = result.prices;
-  legacy.profits = result.profits;
-  legacy.follower = to_symmetric(result.followers);
-  legacy.method = result.method;
-  legacy.converged = result.converged;
-  legacy.rounds = result.rounds;
-  return legacy;
-}
-
-}  // namespace
-
-HomogeneousStackelbergResult solve_sp_equilibrium_homogeneous(
-    const NetworkParams& params, double budget, int n, EdgeMode mode,
-    const SpSolveOptions& options) {
-  return to_homogeneous(
-      solve_leader_stage_homogeneous(params, budget, n, mode, options));
-}
-
-HomogeneousStackelbergResult solve_sp_sequential_homogeneous(
-    const NetworkParams& params, double budget, int n, EdgeMode mode,
-    const SpSolveOptions& options) {
-  return to_homogeneous(
-      solve_leader_stage_sequential(params, budget, n, mode, options));
-}
-
-HomogeneousStackelbergResult solve_sp_standalone_sellout(
-    const NetworkParams& params, double budget, int n,
-    const SpSolveOptions& options) {
-  return to_homogeneous(solve_leader_stage_sellout(params, budget, n, options));
-}
-
-StackelbergEquilibriumResult solve_sp_equilibrium(
-    const NetworkParams& params, const std::vector<double>& budgets,
-    EdgeMode mode, const SpSolveOptions& options) {
-  const LeaderStageResult result =
-      solve_leader_stage(params, budgets, mode, options);
-  StackelbergEquilibriumResult legacy;
-  legacy.prices = result.prices;
-  legacy.profits = result.profits;
-  legacy.followers = to_miner_equilibrium(result.followers);
-  legacy.converged = result.converged;
-  legacy.rounds = result.rounds;
-  return legacy;
 }
 
 }  // namespace hecmine::core

@@ -17,9 +17,16 @@
 // max_rounds and returns the same prices; LeaderStageResult::cycle_period
 // and the sp.best_response_cycles counter report the cycle.
 //
-// All entry points return one unified LeaderStageResult; the former
-// HomogeneousStackelbergResult / StackelbergEquilibriumResult split
-// survives only as deprecated shims at the bottom of this header.
+// On the full-profile path the Theorem 4 fallback scans V_e over a P_e
+// grid of max(4 grid_points, 160) points and refines its 3 best cells.
+// Each grid point's CSP reaction is a P_c grid plus ONE golden-section
+// refine of the best cell, and the scan records that cell; a composite
+// probe inside an outer refine then skips the P_c grid and runs one
+// golden-section refine over the cells its neighbouring grid points
+// found. The homogeneous path keeps its own reaction solver
+// (csp_reaction_homogeneous).
+//
+// All entry points return one unified LeaderStageResult.
 #pragma once
 
 #include <vector>
@@ -146,51 +153,6 @@ struct LeaderStageResult {
 /// sequential fallback when the price best response cycles, so the
 /// dispatch choice changes the cost of the solve, never its meaning.
 [[nodiscard]] LeaderStageResult solve_leader_stage(
-    const NetworkParams& params, const std::vector<double>& budgets,
-    EdgeMode mode, const SpSolveOptions& options = {});
-
-// --- deprecated entry points (kept as thin shims for one release) ----------
-
-/// Deprecated result shape of the homogeneous solvers; superseded by
-/// LeaderStageResult.
-struct HomogeneousStackelbergResult {
-  Prices prices;
-  SpProfits profits;
-  SymmetricEquilibrium follower;
-  SpSolveMethod method = SpSolveMethod::kBestResponse;
-  bool converged = false;
-  int rounds = 0;
-};
-
-/// Deprecated result shape of the heterogeneous solver; superseded by
-/// LeaderStageResult.
-struct StackelbergEquilibriumResult {
-  Prices prices;
-  SpProfits profits;
-  MinerEquilibrium followers;
-  bool converged = false;
-  int rounds = 0;
-};
-
-/// Deprecated: use solve_leader_stage_homogeneous.
-[[nodiscard]] HomogeneousStackelbergResult solve_sp_equilibrium_homogeneous(
-    const NetworkParams& params, double budget, int n, EdgeMode mode,
-    const SpSolveOptions& options = {});
-
-/// Deprecated: use solve_leader_stage_sequential.
-[[nodiscard]] HomogeneousStackelbergResult solve_sp_sequential_homogeneous(
-    const NetworkParams& params, double budget, int n, EdgeMode mode,
-    const SpSolveOptions& options = {});
-
-/// Deprecated: use solve_leader_stage_sellout.
-[[nodiscard]] HomogeneousStackelbergResult solve_sp_standalone_sellout(
-    const NetworkParams& params, double budget, int n,
-    const SpSolveOptions& options = {});
-
-/// Deprecated: use solve_leader_stage. Inherits its homogeneous-budget
-/// auto-dispatch; the returned MinerEquilibrium is always expanded to the
-/// full per-miner shape.
-[[nodiscard]] StackelbergEquilibriumResult solve_sp_equilibrium(
     const NetworkParams& params, const std::vector<double>& budgets,
     EdgeMode mode, const SpSolveOptions& options = {});
 

@@ -250,38 +250,6 @@ TEST(LeaderStage, AutoDispatchAgreesWithTheForcedProfileOracle) {
               0.05 * fast.followers.totals.grand());
 }
 
-TEST(DeprecatedShims, ReproduceTheLeaderStageResultsExactly) {
-  // The shims are thin delegations: same inputs, bitwise-equal outputs in
-  // the legacy result shapes.
-  const NetworkParams params = default_params();
-  const auto options = fast_options();
-  const auto modern = solve_leader_stage_homogeneous(
-      params, 40.0, 5, EdgeMode::kConnected, options);
-  const auto shim = solve_sp_equilibrium_homogeneous(
-      params, 40.0, 5, EdgeMode::kConnected, options);
-  EXPECT_EQ(shim.prices.edge, modern.prices.edge);
-  EXPECT_EQ(shim.prices.cloud, modern.prices.cloud);
-  EXPECT_EQ(shim.profits.edge, modern.profits.edge);
-  EXPECT_EQ(shim.follower.request.edge, modern.followers.request().edge);
-  EXPECT_EQ(shim.rounds, modern.rounds);
-
-  const std::vector<double> budgets{20.0, 30.0, 40.0};
-  // Bitwise shim parity is about delegation, not convergence — skip the
-  // (expensive) sequential fallback of the cycling heterogeneous game.
-  SpSolveOptions hetero = options;
-  hetero.sequential_fallback = false;
-  hetero.context.follower.tolerance = 1e-6;
-  const auto modern_full =
-      solve_leader_stage(params, budgets, EdgeMode::kConnected, hetero);
-  const auto shim_full =
-      solve_sp_equilibrium(params, budgets, EdgeMode::kConnected, hetero);
-  EXPECT_EQ(shim_full.prices.edge, modern_full.prices.edge);
-  EXPECT_EQ(shim_full.prices.cloud, modern_full.prices.cloud);
-  ASSERT_EQ(shim_full.followers.requests.size(), 3u);
-  EXPECT_EQ(shim_full.followers.requests[1].edge,
-            modern_full.followers.request(1).edge);
-}
-
 TEST(DeprecatedShims, ResolvedContextMergesLegacyFieldsOverTheContext) {
   FollowerEquilibriumCache cache;
   SpSolveOptions options;

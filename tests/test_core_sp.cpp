@@ -8,10 +8,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 
+#include "core/aggregate_oracle.hpp"
 #include "core/closed_forms.hpp"
 #include "game/stackelberg.hpp"
 #include "support/error.hpp"
+#include "support/prof.hpp"
 #include "support/telemetry.hpp"
 
 namespace hecmine::core {
@@ -46,7 +49,7 @@ TEST(SpProfits, MatchesDefinition) {
 
 TEST(HomogeneousStackelberg, ConnectedEquilibriumIsSane) {
   const NetworkParams params = default_params();
-  const auto result = solve_sp_equilibrium_homogeneous(
+  const auto result = solve_leader_stage_homogeneous(
       params, 40.0, 5, EdgeMode::kConnected, fast_options());
   EXPECT_TRUE(result.converged);
   // Prices above cost (otherwise an SP would be better off at cost).
@@ -57,7 +60,7 @@ TEST(HomogeneousStackelberg, ConnectedEquilibriumIsSane) {
   EXPECT_GE(result.profits.edge, 0.0);
   EXPECT_GE(result.profits.cloud, 0.0);
   // Miners actually buy at the equilibrium.
-  EXPECT_GT(result.follower.request.total(), 0.0);
+  EXPECT_GT(result.followers.request().total(), 0.0);
 }
 
 TEST(HomogeneousStackelberg, EquilibriumPricesAreStable) {
@@ -66,7 +69,7 @@ TEST(HomogeneousStackelberg, EquilibriumPricesAreStable) {
   // ESP cannot gain by deviating along the CSP's reaction curve.
   const NetworkParams params = default_params();
   const auto options = fast_options();
-  const auto result = solve_sp_equilibrium_homogeneous(
+  const auto result = solve_leader_stage_homogeneous(
       params, 40.0, 5, EdgeMode::kConnected, options);
   const auto cloud_payoff = [&](const Prices& prices) {
     const auto eq =
@@ -104,9 +107,9 @@ TEST(HomogeneousStackelberg, StandaloneSellsOutTheEdge) {
   // Paper Problem 2c: at the standalone SP equilibrium the ESP sells its
   // whole capacity (with sufficient miner budgets).
   const NetworkParams params = default_params();
-  const auto result = solve_sp_equilibrium_homogeneous(
+  const auto result = solve_leader_stage_homogeneous(
       params, 500.0, 5, EdgeMode::kStandalone, fast_options());
-  EXPECT_NEAR(5.0 * result.follower.request.edge, params.edge_capacity,
+  EXPECT_NEAR(5.0 * result.followers.request().edge, params.edge_capacity,
               0.05 * params.edge_capacity);
 }
 
@@ -117,10 +120,10 @@ TEST(HomogeneousStackelberg, StandaloneEspChargesMoreAndEarnsMore) {
   // connected mode, while the CSP's profit does not improve.
   NetworkParams params = default_params();
   params.edge_capacity = 4.0;
-  const auto connected = solve_sp_equilibrium_homogeneous(
+  const auto connected = solve_leader_stage_homogeneous(
       params, 500.0, 5, EdgeMode::kConnected, fast_options());
   const auto standalone =
-      solve_sp_standalone_sellout(params, 500.0, 5, fast_options());
+      solve_leader_stage_sellout(params, 500.0, 5, fast_options());
   EXPECT_GT(standalone.prices.edge, connected.prices.edge);
   EXPECT_GT(standalone.profits.edge, connected.profits.edge);
   EXPECT_LT(standalone.profits.cloud, connected.profits.cloud * 1.05);
@@ -132,7 +135,7 @@ TEST(HomogeneousStackelberg, StandaloneSelloutMatchesTableIIClosedForm) {
   ASSERT_TRUE(closed.valid);
   SpSolveOptions options = fast_options();
   options.grid_points = 80;
-  const auto numeric = solve_sp_standalone_sellout(params, 1e4, 5, options);
+  const auto numeric = solve_leader_stage_sellout(params, 1e4, 5, options);
   EXPECT_NEAR(numeric.prices.cloud, closed.prices.cloud,
               0.02 * closed.prices.cloud);
   EXPECT_NEAR(numeric.prices.edge, closed.prices.edge,
@@ -148,8 +151,8 @@ TEST(HomogeneousStackelberg, UnconstrainedStandaloneLetsCspUndercut) {
   // yields the ESP weakly less profit than the Table II point.
   const NetworkParams params = default_params();
   const auto sellout =
-      solve_sp_standalone_sellout(params, 1e4, 5, fast_options());
-  const auto free_game = solve_sp_equilibrium_homogeneous(
+      solve_leader_stage_sellout(params, 1e4, 5, fast_options());
+  const auto free_game = solve_leader_stage_homogeneous(
       params, 1e4, 5, EdgeMode::kStandalone, fast_options());
   EXPECT_LE(free_game.profits.edge, sellout.profits.edge * 1.01);
 }
@@ -181,9 +184,9 @@ TEST(SequentialSolve, AgreesWithSimultaneousOnProfits) {
   // Theorem 4's sequential construction should give (approximately) the
   // same outcome as asynchronous best response when the latter converges.
   const NetworkParams params = default_params();
-  const auto simultaneous = solve_sp_equilibrium_homogeneous(
+  const auto simultaneous = solve_leader_stage_homogeneous(
       params, 40.0, 5, EdgeMode::kConnected, fast_options());
-  const auto sequential = solve_sp_sequential_homogeneous(
+  const auto sequential = solve_leader_stage_sequential(
       params, 40.0, 5, EdgeMode::kConnected, fast_options());
   EXPECT_NEAR(sequential.profits.edge, simultaneous.profits.edge,
               0.1 * std::abs(simultaneous.profits.edge) + 0.5);
@@ -197,24 +200,24 @@ TEST(FullProfileStackelberg, HeterogeneousBudgetsSolve) {
   options.tolerance = 1e-3;
   const std::vector<double> budgets{20.0, 30.0, 40.0};
   const auto result =
-      solve_sp_equilibrium(params, budgets, EdgeMode::kConnected, options);
+      solve_leader_stage(params, budgets, EdgeMode::kConnected, options);
   EXPECT_GT(result.prices.edge, params.cost_edge);
   EXPECT_GT(result.prices.cloud, params.cost_cloud);
   EXPECT_GT(result.followers.totals.grand(), 0.0);
   // Richer miners buy more at the equilibrium prices.
-  EXPECT_GE(result.followers.requests[2].total(),
-            result.followers.requests[0].total() - 1e-6);
+  EXPECT_GE(result.followers.request(2).total(),
+            result.followers.request(0).total() - 1e-6);
 }
 
 TEST(SpSolve, ValidatesInputs) {
   const NetworkParams params = default_params();
-  EXPECT_THROW((void)solve_sp_equilibrium_homogeneous(
+  EXPECT_THROW((void)solve_leader_stage_homogeneous(
                    params, 0.0, 5, EdgeMode::kConnected),
                support::PreconditionError);
-  EXPECT_THROW((void)solve_sp_equilibrium_homogeneous(
+  EXPECT_THROW((void)solve_leader_stage_homogeneous(
                    params, 10.0, 1, EdgeMode::kConnected),
                support::PreconditionError);
-  EXPECT_THROW((void)solve_sp_equilibrium(params, {}, EdgeMode::kConnected),
+  EXPECT_THROW((void)solve_leader_stage(params, {}, EdgeMode::kConnected),
                support::PreconditionError);
 }
 
@@ -322,6 +325,69 @@ TEST(LeaderStageCycle, StandaloneProfilePathPricesArePinned) {
   expect_pinned({"standalone budgets {20, 30}", {20.0, 30.0},
                  EdgeMode::kStandalone, 20.0, 8, 0x1.a426c26ebcda7p+2,
                  0x1.1b9b4d90fd477p+1});
+}
+
+/// Leader candidates evaluated by one serial solve (deterministic: the
+/// grids and golden-section iteration counts do not depend on the values).
+std::uint64_t leader_evals(const PinnedGame& game) {
+  support::Telemetry sink;
+  (void)solve_pinned(game, 1, &sink);
+  return sink.work.total()[support::prof::WorkField::kUtilityEvals];
+}
+
+TEST(ProfileFallback, HalvesTheLeaderEvaluationsOfThePinnedGames) {
+  // Counts recorded with the fallback that ran a P_c grid plus three
+  // golden-section refines at every composite probe: 42767 on both games.
+  const PinnedGame connected{"connected budgets {10, 15}", {10.0, 15.0},
+                             EdgeMode::kConnected, 8.0, 8, 0.0, 0.0};
+  const PinnedGame standalone{"standalone budgets {20, 30}", {20.0, 30.0},
+                              EdgeMode::kStandalone, 20.0, 8, 0.0, 0.0};
+  constexpr std::uint64_t kThreeRefineEvals = 42767;
+  EXPECT_LE(leader_evals(connected), kThreeRefineEvals / 2);
+  EXPECT_LE(leader_evals(standalone), kThreeRefineEvals / 2);
+}
+
+TEST(ProfileFallback, EspProfitHoldsAgainstTheThreeRefinePrices) {
+  // Library-default grid, distinct budgets: the prices below are those of
+  // the three-refine fallback. V_e at the new prices must not fall below
+  // V_e at those prices, both priced by the full-profile oracle, by more
+  // than the profit plateau's noise (the CSP reaction is located to
+  // ~1e-8 in P_c, which moves V_e by up to a few 1e-8 relative).
+  struct Reference {
+    const char* name;
+    std::vector<double> budgets;
+    EdgeMode mode;
+    double edge_capacity;
+    Prices prices;
+  };
+  const std::vector<Reference> games{
+      {"connected {10, 25}", {10.0, 25.0}, EdgeMode::kConnected, 8.0,
+       {0x1.91ace5dc64e87p+2, 0x1.1d1272700e2c9p+1}},
+      {"connected {20, 30, 45}", {20.0, 30.0, 45.0}, EdgeMode::kConnected,
+       8.0, {0x1.91cd4626743f3p+2, 0x1.1d218190a9651p+1}},
+      {"connected {5, 12, 40}", {5.0, 12.0, 40.0}, EdgeMode::kConnected, 4.0,
+       {0x1.91b4568edc7afp+2, 0x1.1d15e83e0da2fp+1}},
+      {"standalone {15, 35}", {15.0, 35.0}, EdgeMode::kStandalone, 8.0,
+       {0x1.a42f0ba0d296dp+2, 0x1.1b9eec38fb14ep+1}},
+      {"standalone {25, 40, 60}", {25.0, 40.0, 60.0}, EdgeMode::kStandalone,
+       12.0, {0x1.a41375588d5e9p+2, 0x1.1b92dea46964ap+1}},
+  };
+  for (const Reference& game : games) {
+    SCOPED_TRACE(game.name);
+    NetworkParams params = default_params();
+    params.edge_capacity = game.edge_capacity;
+    SpSolveOptions options;
+    options.context.threads = 1;
+    const LeaderStageResult result =
+        solve_leader_stage(params, game.budgets, game.mode, options);
+    EXPECT_EQ(result.method, SpSolveMethod::kSequential);
+    const auto oracle =
+        make_profile_oracle(params, game.budgets, game.mode, options.context);
+    const double reference_edge =
+        sp_profits(params, game.prices, oracle->solve(game.prices).totals)
+            .edge;
+    EXPECT_GE(result.profits.edge, reference_edge * (1.0 - 1e-7));
+  }
 }
 
 TEST(LeaderStageCycle, NoFallbackReturnsTheFullLoopsLastRound) {

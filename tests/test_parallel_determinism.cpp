@@ -103,6 +103,34 @@ TEST(ParallelDeterminism, SpLeaderStageMatchesSerialBitwise) {
   EXPECT_EQ(parallel.rounds, serial.rounds);
 }
 
+TEST(ParallelDeterminism, SpProfileLeaderStageMatchesSerialBitwise) {
+  // Distinct budgets take the full-profile path; the price best response
+  // cycles, so the Theorem 4 fallback runs its outer scan on the pool and
+  // records each grid point's reaction cell from the pool tasks. The tight
+  // price box gives the 12-point P_c grid a step below 1, so the reaction
+  // cells vary along the outer grid and steer the outer refines (with the
+  // default box, a grid this coarse puts every reaction in cell 0).
+  core::NetworkParams params = test_params();
+  params.edge_capacity = 8.0;
+  const std::vector<double> budgets{10.0, 15.0};
+  core::SpSolveOptions options;
+  options.grid_points = 12;
+  options.price_ceiling = 10.0;
+  options.context.threads = 1;
+  const auto serial = core::solve_leader_stage(
+      params, budgets, core::EdgeMode::kConnected, options);
+  ASSERT_EQ(serial.method, core::SpSolveMethod::kSequential);
+  options.context.threads = 4;
+  const auto parallel = core::solve_leader_stage(
+      params, budgets, core::EdgeMode::kConnected, options);
+  EXPECT_EQ(parallel.method, core::SpSolveMethod::kSequential);
+  EXPECT_EQ(parallel.prices.edge, serial.prices.edge);  // bitwise
+  EXPECT_EQ(parallel.prices.cloud, serial.prices.cloud);
+  EXPECT_EQ(parallel.profits.edge, serial.profits.edge);
+  EXPECT_EQ(parallel.profits.cloud, serial.profits.cloud);
+  EXPECT_EQ(parallel.rounds, serial.rounds);
+}
+
 core::DynamicGameConfig dynamic_config() {
   core::DynamicGameConfig config;
   config.params = test_params();
