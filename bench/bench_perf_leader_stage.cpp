@@ -235,21 +235,6 @@ int main(int argc, char** argv) {
     };
   };
 
-  // Kernel-layer ablation: the same heterogeneous workload with the
-  // batched SoA sweep drivers disabled (legacy per-miner std::function
-  // machinery with O(n^2) opponent re-aggregation). The scalar closed
-  // forms are shared either way, so the row isolates the batching layer.
-  const auto heterogeneous_legacy = [&](int run_threads) {
-    return [&, run_threads](core::FollowerEquilibriumCache* cache) {
-      core::SpSolveOptions options = base;
-      options.context.threads = run_threads;
-      options.context.cache = cache;
-      options.follower.use_kernels = false;
-      return core::solve_leader_stage(params, budgets,
-                                      core::EdgeMode::kConnected, options);
-    };
-  };
-
   std::vector<RunResult> runs;
   runs.push_back(timed_run("homogeneous/serial", repeat, false,
                            cache_capacity, homogeneous(1)));
@@ -263,8 +248,6 @@ int main(int argc, char** argv) {
                            cache_capacity, heterogeneous(1)));
   runs.push_back(timed_run("heterogeneous/parallel+cache", 1, true,
                            cache_capacity, heterogeneous(threads)));
-  runs.push_back(timed_run("heterogeneous/serial/kernels-off", 1, false,
-                           cache_capacity, heterogeneous_legacy(1)));
 
   // Thread count never changes the computation: the parallel cache-off run
   // must reproduce the serial one bitwise. The cache snaps solve prices to
@@ -342,8 +325,6 @@ int main(int argc, char** argv) {
                true, homogeneous(1));
   count_labels({"heterogeneous/serial"}, false, heterogeneous(1));
   count_labels({"heterogeneous/parallel+cache"}, true, heterogeneous(1));
-  count_labels({"heterogeneous/serial/kernels-off"}, false,
-               heterogeneous_legacy(1));
 
   // Run provenance, embedded in the ledger and every telemetry/trace
   // export so bench_compare can warn when two ledgers came from different

@@ -44,10 +44,6 @@ std::uint64_t hash_follower_env(const NetworkParams& params,
   h = hash_mix(h, options.tolerance);
   h = hash_mix(h, static_cast<std::uint64_t>(options.max_iterations));
   h = hash_mix(h, options.vi_tolerance);
-  // Kernel-layer knobs change iterate trajectories (and so the cached
-  // bits), so they are part of the cache identity like every other field.
-  h = hash_mix(h, static_cast<std::uint64_t>(options.use_kernels));
-  h = hash_mix(h, static_cast<std::uint64_t>(options.convergence_stride));
   return h;
 }
 

@@ -94,6 +94,11 @@ void gradient_kernel(const KernelEnv& env, double e, double c,
 
 namespace {
 
+/// Sweeps between convergence / probe / stall-damping checkpoints of the
+/// batched drivers. Typical solves take tens of sweeps, so checking every
+/// 4th trades at most 3 overshoot sweeps for 4x less bookkeeping.
+constexpr int kConvergenceStride = 4;
+
 /// Safeguarded Newton for the 1-D concave boundary problems: maximizes a
 /// differentiable concave phi on [0, t_max] given phi' (g) and phi'' (h).
 /// Monotone-decreasing g makes the bracket exact; Newton steps that leave
@@ -350,8 +355,6 @@ BatchSweepResult solve_nep_batch(const KernelEnv& env, MinerBatch& batch,
   HECMINE_REQUIRE(batch.size() > 0, "solve_nep_batch requires miners");
   HECMINE_REQUIRE(options.damping > 0.0 && options.damping <= 1.0,
                   "solve_nep_batch: damping must be in (0, 1]");
-  HECMINE_REQUIRE(options.convergence_stride >= 1,
-                  "solve_nep_batch: convergence_stride must be >= 1");
   const std::size_t n = batch.size();
   double* e = batch.edge.data();
   double* c = batch.cloud.data();
@@ -360,12 +363,11 @@ BatchSweepResult solve_nep_batch(const KernelEnv& env, MinerBatch& batch,
 
   // Same stall-halving schedule as game::solve_best_response, advanced per
   // checkpoint rather than per sweep (stall_limit keeps the halving point
-  // at ~30 sweeps for any stride).
+  // at ~30 sweeps).
   double damping = options.damping;
   double best_residual = std::numeric_limits<double>::infinity();
   int stalled = 0;
-  const int stride = options.convergence_stride;
-  const int stall_limit = std::max(1, 30 / stride);
+  constexpr int stall_limit = std::max(1, 30 / kConvergenceStride);
 
   support::Telemetry* telemetry = support::current_telemetry();
   if (telemetry != nullptr && !telemetry->probe.armed()) telemetry = nullptr;
@@ -407,7 +409,8 @@ BatchSweepResult solve_nep_batch(const KernelEnv& env, MinerBatch& batch,
       work->add(support::prof::WorkField::kBestResponseEvals, n);
     }
 
-    if (iteration % stride != 0 && iteration != options.max_iterations)
+    if (iteration % kConvergenceStride != 0 &&
+        iteration != options.max_iterations)
       continue;
     // Checkpoint: exact re-sum bounds incremental-total drift, then the
     // legacy convergence / probe / stall logic runs on this sweep's change.

@@ -17,8 +17,8 @@
 //   * opponent aggregates by running-total subtraction (O(n) per sweep
 //     instead of O(n^2)); totals are re-summed exactly at every
 //     convergence checkpoint so rounding drift stays bounded,
-//   * convergence / probe / stall-damping checks every
-//     MinerSolveOptions::convergence_stride sweeps instead of every sweep,
+//   * convergence / probe / stall-damping checks every 4th sweep instead of
+//     every sweep,
 //   * boundary segments solved by safeguarded Newton on the exact
 //     derivative (with the legacy golden-section search kept as the
 //     fallback for the degenerate discontinuous cases).
@@ -125,7 +125,7 @@ struct BatchSweepResult {
 
 /// Damped Gauss-Seidel best-response dynamics on the batch, reproducing
 /// game::solve_best_response (stall-halving damping schedule included) with
-/// checks every options.convergence_stride sweeps. Probe records flow to
+/// checks every 4th sweep. Probe records flow to
 /// the thread's telemetry sink under binding.solver, one per checkpoint.
 BatchSweepResult solve_nep_batch(const KernelEnv& env, MinerBatch& batch,
                                  const MinerSolveOptions& options,

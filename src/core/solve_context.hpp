@@ -1,10 +1,8 @@
 // Shared solver context: the "who owns the knobs" half of the
 // FollowerOracle layer (core/oracle.hpp).
 //
-// Before this header existed the thread count and the follower cache were
-// duplicated across MinerSolveOptions / SpSolveOptions / StackelbergOptions
-// and every new consumer re-plumbed them by hand. A SolveContext owns those
-// resources exactly once:
+// A SolveContext owns the cross-cutting solver resources exactly once, and
+// every layer that embeds follower solves reads them from it:
 //
 //   * threads  — fan-out for price scans / Monte-Carlo blocks (0 = auto via
 //                HECMINE_THREADS else hardware concurrency, 1 = serial);
@@ -35,21 +33,6 @@ struct MinerSolveOptions {
   double tolerance = 1e-9;    ///< profile max-norm change at convergence
   int max_iterations = 4000;
   double vi_tolerance = 1e-8; ///< natural-residual target of the VI solver
-  /// Run the profile solvers on the batched SoA kernels (core/kernels.hpp).
-  /// Off restores the legacy per-miner std::function sweep machinery —
-  /// kept for the kernels-on/off bench ablation and as an escape hatch.
-  bool use_kernels = true;
-  /// Sweeps between convergence / probe / stall-damping checkpoints in the
-  /// batched drivers (>= 1). Probe data across the tracked workloads puts
-  /// typical solves at tens of sweeps, so checking every 4th trades at
-  /// most 3 overshoot sweeps for 4x less bookkeeping; 1 restores the
-  /// legacy check-every-sweep cadence.
-  int convergence_stride = 4;
-
-  /// Member-wise equality; lets option merging detect "still the default"
-  /// (see the deprecated shims in SpSolveOptions).
-  friend bool operator==(const MinerSolveOptions&,
-                         const MinerSolveOptions&) = default;
 };
 
 /// Dispatch and bucketing knobs of the ClassAggregateOracle
@@ -69,9 +52,6 @@ struct AggregateOracleOptions {
   /// snapped onto this grid before bucketing (a documented approximation
   /// that caps K on near-continuous budget distributions).
   double budget_quantum = 0.0;
-
-  friend bool operator==(const AggregateOracleOptions&,
-                         const AggregateOracleOptions&) = default;
 };
 
 /// One bundle of cross-cutting solver resources, passed down every layer

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <optional>
@@ -16,14 +17,6 @@
 #include "support/telemetry.hpp"
 
 namespace hecmine::core {
-
-SolveContext SpSolveOptions::resolved_context() const {
-  SolveContext resolved = context;
-  if (!(follower == MinerSolveOptions{})) resolved.follower = follower;
-  if (threads != 0) resolved.threads = threads;
-  if (cache != nullptr) resolved.cache = cache;
-  return resolved;
-}
 
 SpProfits sp_profits(const NetworkParams& params, const Prices& prices,
                      const Totals& totals) {
@@ -94,7 +87,7 @@ void count_best_response_cycle(const SolveContext& context,
     context.telemetry->metrics.counter("sp.best_response_cycles").add();
 }
 
-void count_sequential_fallback(const SolveContext& context) {
+void count_theorem4_fallback(const SolveContext& context) {
   if (context.telemetry != nullptr)
     context.telemetry->metrics.counter("sp.sequential_fallbacks").add();
 }
@@ -178,6 +171,39 @@ game::StackelbergResult run_leader_best_response(const NetworkParams& params,
       std::min(box.edge.hi, 2.0 * params.cost_edge + 1.0),
       std::min(box.cloud.hi, 2.0 * params.cost_cloud + 0.5)};
   return game::solve_stackelberg(payoff, start, {box.edge, box.cloud}, driver);
+}
+
+/// The leader-stage skeleton of every best-response entry point: Algorithm
+/// 1/2's price best response over the `scan` oracle, finished with the
+/// `finishing` oracle when it converges. When it does not (the simultaneous
+/// price game cycles, having no pure NE, or runs out of rounds) the answer
+/// is `fallback`'s Theorem 4 sequential construction instead.
+LeaderStageResult best_response_or_sequential(
+    const NetworkParams& params, const FollowerOracle& scan,
+    const FollowerOracle& finishing, const PriceBox& box,
+    const SpSolveOptions& options, const SolveContext& context,
+    const std::function<LeaderStageResult()>& fallback) {
+  game::StackelbergResult leader;
+  {
+    const support::SolveTrace::Scope phase(trace_of(context), "best_response");
+    leader = run_leader_best_response(params, scan, box, options, context);
+  }
+  count_best_response_rounds(context, leader.rounds);
+  count_best_response_cycle(context, leader);
+  LeaderStageResult result;
+  if (leader.converged) {
+    const support::SolveTrace::Scope phase(trace_of(context), "finish");
+    result = finish_leader_stage(params, finishing,
+                                 {leader.actions[0], leader.actions[1]});
+    result.method = SpSolveMethod::kBestResponse;
+    result.converged = true;
+  } else {
+    count_theorem4_fallback(context);
+    result = fallback();
+  }
+  result.rounds += leader.rounds;
+  result.cycle_period = leader.cycle_period;
+  return result;
 }
 
 /// CSP reaction P_c*(P_e) against a given follower oracle over a given
@@ -372,41 +398,18 @@ LeaderStageResult solve_leader_stage_homogeneous(const NetworkParams& params,
   params.validate();
   HECMINE_REQUIRE(budget > 0.0, "SP solve: budget must be positive");
   HECMINE_REQUIRE(n >= 2, "SP solve: n >= 2 required");
-  const SolveContext context = options.resolved_context();
+  const SolveContext& context = options.context;
   count_leader_solve(context);
   const StageTelemetryScope telemetry_scope(context);
   const support::SolveTrace::Scope stage(trace_of(context),
                                          "leader_stage.homogeneous");
   const PriceBox box = price_box(params, options);
   const auto scan = homogeneous_oracle(params, budget, n, mode, context, true);
-  game::StackelbergResult leader;
-  {
-    const support::SolveTrace::Scope phase(trace_of(context), "best_response");
-    leader = run_leader_best_response(params, *scan, box, options, context);
-  }
-  count_best_response_rounds(context, leader.rounds);
-  count_best_response_cycle(context, leader);
-
-  if (leader.converged || !options.sequential_fallback) {
-    const support::SolveTrace::Scope phase(trace_of(context), "finish");
-    const auto full =
-        homogeneous_oracle(params, budget, n, mode, context, false);
-    auto result = finish_leader_stage(params, *full,
-                                      {leader.actions[0], leader.actions[1]});
-    result.method = SpSolveMethod::kBestResponse;
-    result.converged = leader.converged;
-    result.rounds = leader.rounds;
-    result.cycle_period = leader.cycle_period;
-    return result;
-  }
-  // The simultaneous price game cycles (no pure NE): fall back to the
-  // sequential construction that Theorem 4 analyzes.
-  count_sequential_fallback(context);
-  auto result =
-      solve_leader_stage_sequential(params, budget, n, mode, options);
-  result.rounds += leader.rounds;
-  result.cycle_period = leader.cycle_period;
-  return result;
+  const auto full = homogeneous_oracle(params, budget, n, mode, context, false);
+  return best_response_or_sequential(
+      params, *scan, *full, box, options, context, [&] {
+        return solve_leader_stage_sequential(params, budget, n, mode, options);
+      });
 }
 
 double csp_reaction_homogeneous(const NetworkParams& params, double budget,
@@ -414,7 +417,7 @@ double csp_reaction_homogeneous(const NetworkParams& params, double budget,
                                 const SpSolveOptions& options) {
   params.validate();
   HECMINE_REQUIRE(price_edge > 0.0, "csp_reaction: price_edge must be > 0");
-  const SolveContext context = options.resolved_context();
+  const SolveContext& context = options.context;
   const PriceBox box = price_box(params, options);
   const auto scan = homogeneous_oracle(params, budget, n, mode, context, true);
   return csp_reaction_with_oracle(params, *scan, box, price_edge, options);
@@ -425,7 +428,7 @@ LeaderStageResult solve_leader_stage_sequential(const NetworkParams& params,
                                                 EdgeMode mode,
                                                 const SpSolveOptions& options) {
   params.validate();
-  const SolveContext context = options.resolved_context();
+  const SolveContext& context = options.context;
   const StageTelemetryScope telemetry_scope(context);
   const support::SolveTrace::Scope stage(trace_of(context),
                                          "leader_stage.sequential");
@@ -475,7 +478,7 @@ LeaderStageResult solve_leader_stage_sellout(const NetworkParams& params,
   params.validate();
   HECMINE_REQUIRE(budget > 0.0, "SP solve: budget must be positive");
   HECMINE_REQUIRE(n >= 2, "SP solve: n >= 2 required");
-  const SolveContext context = options.resolved_context();
+  const SolveContext& context = options.context;
   count_leader_solve(context);
   const StageTelemetryScope telemetry_scope(context);
   const support::SolveTrace::Scope stage(trace_of(context),
@@ -562,38 +565,21 @@ LeaderStageResult solve_leader_stage(const NetworkParams& params,
                                           static_cast<int>(budgets.size()),
                                           mode, options);
   }
-  const SolveContext context = options.resolved_context();
+  const SolveContext& context = options.context;
   count_leader_solve(context);
   const StageTelemetryScope telemetry_scope(context);
   const support::SolveTrace::Scope stage(trace_of(context),
                                          "leader_stage.profile");
   const PriceBox box = price_box(params, options);
   const auto oracle = profile_oracle(params, budgets, mode, context);
-  game::StackelbergResult leader;
-  {
-    const support::SolveTrace::Scope phase(trace_of(context), "best_response");
-    leader = run_leader_best_response(params, *oracle, box, options, context);
-  }
-  count_best_response_rounds(context, leader.rounds);
-  count_best_response_cycle(context, leader);
-  if (leader.converged || !options.sequential_fallback) {
-    const support::SolveTrace::Scope phase(trace_of(context), "finish");
-    auto result = finish_leader_stage(params, *oracle,
-                                      {leader.actions[0], leader.actions[1]});
-    result.method = SpSolveMethod::kBestResponse;
-    result.converged = leader.converged;
-    result.rounds = leader.rounds;
-    result.cycle_period = leader.cycle_period;
-    return result;
-  }
   // Same cycle fallback as the homogeneous path (Theorem 4's sequential
   // construction), so auto-dispatch never changes the equilibrium concept.
-  count_sequential_fallback(context);
-  const support::SolveTrace::Scope phase(trace_of(context), "sequential");
-  auto result = sequential_with_oracle(params, *oracle, box, options, context);
-  result.rounds += leader.rounds;
-  result.cycle_period = leader.cycle_period;
-  return result;
+  return best_response_or_sequential(
+      params, *oracle, *oracle, box, options, context, [&] {
+        const support::SolveTrace::Scope phase(trace_of(context),
+                                               "sequential");
+        return sequential_with_oracle(params, *oracle, box, options, context);
+      });
 }
 
 }  // namespace hecmine::core

@@ -9,13 +9,15 @@
 // structure of Theorem 4: the CSP's reaction curve P_c*(P_e) is computed
 // first and the ESP maximizes over it.
 //
-// The price best response stops at its first exact cycle: every leader
-// payoff here is a pure function of the prices (the follower oracles are
-// deterministic, and the follower cache solves at snapped prices), so a
-// price vector that bitwise repeats an earlier round's repeats forever.
-// The Theorem 4 fallback then starts after a handful of rounds instead of
-// max_rounds and returns the same prices; LeaderStageResult::cycle_period
-// and the sp.best_response_cycles counter report the cycle.
+// Every entry point that runs the price best response takes Theorem 4's
+// sequential construction whenever that iteration does not converge. It
+// stops at its first exact cycle: every leader payoff here is a pure
+// function of the prices (the follower oracles are deterministic, and the
+// follower cache solves at snapped prices), so a price vector that bitwise
+// repeats an earlier round's repeats forever. The fallback then starts
+// after a handful of rounds instead of max_rounds;
+// LeaderStageResult::cycle_period and the sp.best_response_cycles counter
+// report the cycle.
 //
 // On the full-profile path the Theorem 4 fallback scans V_e over a P_e
 // grid of max(4 grid_points, 160) points and refines its 3 best cells.
@@ -38,8 +40,6 @@
 #include "core/types.hpp"
 
 namespace hecmine::core {
-
-class FollowerEquilibriumCache;  // core/equilibrium_cache.hpp
 
 /// SP profits V_e = (P_e - C_e) E and V_c = (P_c - C_c) C (Eq. 2).
 struct SpProfits {
@@ -64,25 +64,6 @@ struct SpSolveOptions {
   /// equal (solve_leader_stage normally auto-dispatches the symmetric fast
   /// path; parity tests pin both paths against each other).
   bool force_profile_oracle = false;
-  /// When the asynchronous price best response cycles (the simultaneous
-  /// leader game can lack a pure NE — exactly the case Theorem 4
-  /// analyzes), fall back to the sequential leader construction instead of
-  /// returning the non-converged last iterate. On for every caller that
-  /// wants an answer; benches measuring the raw scan turn it off.
-  bool sequential_fallback = true;
-
-  // --- deprecated shims (kept for one release) -----------------------------
-  /// Deprecated: use context.follower. A non-default value wins over the
-  /// context when resolving.
-  MinerSolveOptions follower;
-  /// Deprecated: use context.threads. Non-zero wins over the context.
-  int threads = 0;
-  /// Deprecated: use context.cache. Non-null wins over the context.
-  FollowerEquilibriumCache* cache = nullptr;
-
-  /// The context actually used by the solvers: `context` with any
-  /// deprecated field that was explicitly set merged on top.
-  [[nodiscard]] SolveContext resolved_context() const;
 };
 
 /// How the leader-stage solution was obtained.
@@ -111,11 +92,11 @@ struct LeaderStageResult {
 
 /// Leader-stage solve with n identical miners of budget B. Runs Algorithm 1
 /// (connected) / Algorithm 2 (standalone) asynchronous price best response
-/// first; when that cycles — the simultaneous-move leader game can lack a
-/// pure NE exactly as Theorem 4 anticipates — it falls back to the
-/// sequential construction of solve_leader_stage_sequential and reports
-/// method = kSequential as soon as the price iterate repeats exactly (see
-/// the header comment). The follower stage is the symmetric fast-path
+/// first; when that does not converge — the simultaneous-move leader game
+/// can lack a pure NE exactly as Theorem 4 anticipates — it falls back to
+/// the sequential construction of solve_leader_stage_sequential and
+/// reports method = kSequential, starting as soon as the price iterate
+/// repeats exactly (see the header comment). The follower stage is the symmetric fast-path
 /// oracle, making price sweeps cheap.
 [[nodiscard]] LeaderStageResult solve_leader_stage_homogeneous(
     const NetworkParams& params, double budget, int n, EdgeMode mode,

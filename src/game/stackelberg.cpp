@@ -13,14 +13,6 @@ namespace hecmine::game {
 
 namespace {
 
-/// End-of-round state of the leader iteration: what a loop stopped after
-/// that round would report.
-struct RoundEnd {
-  std::vector<double> actions;
-  std::vector<double> payoffs;
-  double residual = 0.0;
-};
-
 bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
   return a.size() == b.size() &&
          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
@@ -48,7 +40,7 @@ StackelbergResult solve_stackelberg(const LeaderPayoffFn& payoff,
   scan_options.grid_points = options.grid_points;
   scan_options.tolerance = options.refine_tolerance;
   const int threads =
-      support::resolve_thread_count(options.effective_threads());
+      support::resolve_thread_count(options.context.threads);
 
   // Leader-round probe records come from the context sink (the leader stage
   // runs above the instrumented oracle, so no thread-local scope is
@@ -63,10 +55,10 @@ StackelbergResult solve_stackelberg(const LeaderPayoffFn& payoff,
                                    ? &options.context.telemetry->trace
                                    : nullptr;
 
-  // history[k] is the state after round k (history[0] = the start). A
-  // round's outcome depends only on the action vector it starts from (the
-  // LeaderPayoffFn contract), so a bitwise revisit means a cycle.
-  std::vector<RoundEnd> history{{result.actions, {}, 0.0}};
+  // history[k] is the action vector after round k (history[0] = the
+  // start). A round's outcome depends only on the action vector it starts
+  // from (the LeaderPayoffFn contract), so a bitwise revisit means a cycle.
+  std::vector<std::vector<double>> history{result.actions};
   for (int round = 0; round < options.max_rounds; ++round) {
     const support::SolveTrace::Scope round_span(trace, "leader.round");
     result.rounds = round + 1;
@@ -106,28 +98,17 @@ StackelbergResult solve_stackelberg(const LeaderPayoffFn& payoff,
       result.converged = true;
       break;
     }
-    const auto earlier = static_cast<int>(
+    const auto earlier =
         std::find_if(history.begin(), history.end(),
-                     [&](const RoundEnd& e) {
-                       return same_bits(e.actions, result.actions);
-                     }) -
-        history.begin());
-    history.push_back({result.actions, result.payoffs, round_change});
-    if (earlier < result.rounds) {
-      // Rounds r - p + 1 .. r repeat forever; a loop run to max_rounds
-      // would end on the one in the same phase as max_rounds.
-      const int r = result.rounds;
-      const int period = r - earlier;
-      result.cycle_period = period;
-      if (r < options.max_rounds) {
-        const RoundEnd& last = history[static_cast<std::size_t>(
-            r - period + 1 + (options.max_rounds - r - 1) % period)];
-        result.actions = last.actions;
-        result.payoffs = last.payoffs;
-        result.residual = last.residual;
-      }
+                     [&](const std::vector<double>& past) {
+                       return same_bits(past, result.actions);
+                     });
+    if (earlier != history.end()) {
+      result.cycle_period =
+          result.rounds - static_cast<int>(earlier - history.begin());
       break;
     }
+    history.push_back(result.actions);
   }
   if (result.rounds == 0) {  // max_rounds == 0: no scan values to reuse
     for (std::size_t leader = 0; leader < result.actions.size(); ++leader)

@@ -7,7 +7,8 @@
 // over leaders, each best response computed by a robust 1-D scan+refine.
 // The round map is deterministic, so the iteration stops at the first round
 // whose action vector bitwise repeats an earlier one: from there on the
-// iterate cycles and can never meet the tolerance.
+// iterate cycles and can never meet the tolerance. It reports the cycle's
+// period and its state at that round.
 #pragma once
 
 #include <functional>
@@ -19,7 +20,7 @@ namespace hecmine::game {
 
 /// Payoff of leader `i` when the leader action vector is `actions`
 /// (followers assumed at their equilibrium for those actions). With
-/// StackelbergOptions::threads != 1 the driver evaluates candidate actions
+/// context.threads != 1 the driver evaluates candidate actions
 /// concurrently, so the oracle must tolerate concurrent invocation (the
 /// library's follower solvers are pure and qualify; a memoizing oracle must
 /// use a thread-safe cache such as core::FollowerEquilibriumCache).
@@ -54,14 +55,6 @@ struct StackelbergOptions {
   /// context.cache / context.follower — they ride along for the caller's
   /// payoff oracle.
   core::SolveContext context;
-  /// Deprecated: use context.threads. A non-zero value wins over the
-  /// context for one release.
-  int threads = 0;
-
-  /// Effective thread setting after merging the deprecated field.
-  [[nodiscard]] int effective_threads() const noexcept {
-    return threads != 0 ? threads : context.threads;
-  }
 };
 
 /// Outcome of the leader iteration.
@@ -80,8 +73,8 @@ struct StackelbergResult {
   /// Period p of the exact cycle the iteration stopped at (0 = none): the
   /// action vector after round `rounds` is bitwise the vector after round
   /// `rounds` - p. Every later round would repeat the cycle, so the
-  /// iteration stops there and reports actions, payoffs and residual exactly as a
-  /// loop run to max_rounds would have ended (converged stays false).
+  /// iteration stops there and reports actions, payoffs and residual of
+  /// that round (converged stays false).
   int cycle_period = 0;
 };
 

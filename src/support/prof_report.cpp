@@ -85,6 +85,10 @@ Report build_report(const json::Value& trace) {
   }
 
   Report report;
+  report.dropped =
+      static_cast<std::uint64_t>(trace.number_or("dropped", 0.0));
+  report.domain_dropped =
+      static_cast<std::uint64_t>(trace.number_or("domain_dropped", 0.0));
   std::map<std::string, ReportRow> rows;
   for (std::size_t i = 0; i < spans.size(); ++i) {
     const TraceSpan& span = spans[i];
@@ -140,6 +144,10 @@ void print_report(std::ostream& os, const Report& report) {
   }
   if (!any) os << " (none recorded)";
   os << "\n";
+  if (report.dropped > 0 || report.domain_dropped > 0)
+    os << "warning: the trace dropped " << report.dropped
+       << " spans and " << report.domain_dropped
+       << " domain entries at capacity; the table under-counts\n";
 }
 
 }  // namespace hecmine::support::prof

@@ -56,6 +56,11 @@ struct Report {
   std::uint64_t spans = 0;      ///< closed spans consumed
   double total_ms = 0.0;        ///< summed root-span durations
   WorkCounters total_work;      ///< summed exclusive work (= total work)
+  /// Solver spans the recording trace dropped at its capacity (the
+  /// document's top-level "dropped"); the rows omit their cost.
+  std::uint64_t dropped = 0;
+  /// Domain-timeline entries dropped at capacity ("domain_dropped").
+  std::uint64_t domain_dropped = 0;
 };
 
 /// Folds a parsed hecmine.trace.v1 document (the to_chrome_trace output)
@@ -63,7 +68,8 @@ struct Report {
 /// a traceEvents array.
 [[nodiscard]] Report build_report(const json::Value& trace);
 
-/// Renders the report as an aligned table plus a totals footer.
+/// Renders the report as an aligned table plus a totals footer, and one
+/// warning line when the trace dropped spans or domain entries.
 void print_report(std::ostream& os, const Report& report);
 
 }  // namespace hecmine::support::prof

@@ -1,17 +1,21 @@
 // Tests for the SoA kernel layer (core/soa.hpp + core/kernels.hpp):
 // AoS <-> SoA round-trip exactness, batch-of-one vs scalar bitwise parity,
-// and batched-vs-legacy sweep parity on heterogeneous NEP/GNEP fixtures.
+// and batched-vs-generic sweep parity on heterogeneous NEP/GNEP fixtures
+// (the generic game:: drivers serve as the reference).
 #include "core/kernels.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <thread>
 #include <vector>
 
 #include "core/equilibrium.hpp"
 #include "core/miner.hpp"
 #include "core/soa.hpp"
+#include "game/gnep.hpp"
+#include "game/nash.hpp"
 #include "support/error.hpp"
 #include "support/rng.hpp"
 
@@ -163,25 +167,73 @@ TEST(BatchKernels, MatchScalarKernelsPerMiner) {
   }
 }
 
+/// Reference follower solves on the generic game:: drivers (game/nash,
+/// game/gnep) with one miner_best_response per player per sweep: the
+/// per-miner std::function machinery the batched kernels replaced, seeded
+/// and damped as the library's follower solves are.
+MinerEnv reference_env(const NetworkParams& params, const Prices& prices,
+                       double budget, double edge_success, double surcharge,
+                       const game::Profile& profile, std::size_t player) {
+  MinerEnv env;
+  env.reward = params.reward;
+  env.fork_rate = params.fork_rate;
+  env.edge_success = edge_success;
+  env.prices = prices;
+  env.edge_surcharge = surcharge;
+  env.budget = budget;
+  for (std::size_t j = 0; j < profile.size(); ++j) {
+    if (j == player) continue;
+    env.others.edge += profile[j][0];
+    env.others.cloud += profile[j][1];
+  }
+  return env;
+}
+
+game::Profile reference_seed(const Prices& prices,
+                             const std::vector<double>& budgets,
+                             double edge_cap) {
+  game::Profile start(budgets.size());
+  for (std::size_t i = 0; i < budgets.size(); ++i)
+    start[i] = {std::min(0.25 * budgets[i] / prices.edge,
+                         0.5 * edge_cap / static_cast<double>(budgets.size())),
+                0.25 * budgets[i] / prices.cloud};
+  return start;
+}
+
+game::BestResponseOptions reference_sweep() {
+  const MinerSolveOptions defaults;
+  game::BestResponseOptions options;
+  options.damping = defaults.damping;
+  options.tolerance = defaults.tolerance;
+  options.max_iterations = defaults.max_iterations;
+  return options;
+}
+
 TEST(BatchSweeps, NepParityWithLegacySweepHeterogeneous) {
-  // Theorem 2 uniqueness: the batched Gauss-Seidel driver and the legacy
+  // Theorem 2 uniqueness: the batched Gauss-Seidel driver and the generic
   // std::function sweep must land on the same equilibrium.
   const NetworkParams params = default_params();
   const Prices prices{2.0, 1.0};
   const std::vector<double> budgets{5.0, 12.5, 20.0, 35.0, 60.0, 90.0};
-  MinerSolveOptions batched;
-  batched.use_kernels = true;
-  MinerSolveOptions legacy;
-  legacy.use_kernels = false;
-  const auto eq_batched = solve_connected_nep(params, prices, budgets, batched);
-  const auto eq_legacy = solve_connected_nep(params, prices, budgets, legacy);
+  const auto eq_batched = solve_connected_nep(params, prices, budgets, {});
+  const double h = params.edge_success;
+  const auto legacy = game::solve_best_response(
+      [&](const game::Profile& profile, std::size_t player) {
+        const MinerRequest response = miner_best_response(reference_env(
+            params, prices, budgets[player], h, 0.0, profile, player));
+        return std::vector<double>{response.edge, response.cloud};
+      },
+      reference_seed(prices, budgets, std::numeric_limits<double>::infinity()),
+      reference_sweep());
   ASSERT_TRUE(eq_batched.converged);
-  ASSERT_TRUE(eq_legacy.converged);
+  ASSERT_TRUE(legacy.converged);
   for (std::size_t i = 0; i < budgets.size(); ++i) {
-    EXPECT_NEAR(eq_batched.requests[i].edge, eq_legacy.requests[i].edge, 1e-6);
-    EXPECT_NEAR(eq_batched.requests[i].cloud, eq_legacy.requests[i].cloud,
-                1e-6);
-    EXPECT_NEAR(eq_batched.utilities[i], eq_legacy.utilities[i], 1e-4);
+    EXPECT_NEAR(eq_batched.requests[i].edge, legacy.profile[i][0], 1e-6);
+    EXPECT_NEAR(eq_batched.requests[i].cloud, legacy.profile[i][1], 1e-6);
+    const double legacy_utility = miner_utility(
+        reference_env(params, prices, budgets[i], h, 0.0, legacy.profile, i),
+        {legacy.profile[i][0], legacy.profile[i][1]});
+    EXPECT_NEAR(eq_batched.utilities[i], legacy_utility, 1e-4);
   }
   EXPECT_NEAR(miner_exploitability(params, prices, budgets,
                                    eq_batched.requests, true),
@@ -194,42 +246,33 @@ TEST(BatchSweeps, GnepParityWithLegacyDecompositionHeterogeneous) {
   params.edge_capacity = 4.0;
   const Prices prices{1.6, 1.0};
   const std::vector<double> budgets{8.0, 15.0, 30.0, 55.0};
-  MinerSolveOptions batched;
-  batched.use_kernels = true;
-  MinerSolveOptions legacy;
-  legacy.use_kernels = false;
-  const auto eq_batched =
-      solve_standalone_gnep(params, prices, budgets, batched);
-  const auto eq_legacy = solve_standalone_gnep(params, prices, budgets, legacy);
+  const auto eq_batched = solve_standalone_gnep(params, prices, budgets, {});
+  game::SharedPriceGnepOptions gnep_options;
+  gnep_options.inner = reference_sweep();
+  gnep_options.surcharge_hi0 = 0.25 * prices.edge;
+  const auto legacy = game::solve_shared_price_gnep(
+      [&](const game::Profile& profile, std::size_t player, double surcharge) {
+        const MinerRequest response = miner_best_response(reference_env(
+            params, prices, budgets[player], 1.0, surcharge, profile, player));
+        return std::vector<double>{response.edge, response.cloud};
+      },
+      [](const game::Profile& profile) {
+        double edge = 0.0;
+        for (const auto& strategy : profile) edge += strategy[0];
+        return edge;
+      },
+      params.edge_capacity,
+      reference_seed(prices, budgets, params.edge_capacity), gnep_options);
   ASSERT_TRUE(eq_batched.converged);
-  ASSERT_TRUE(eq_legacy.converged);
-  EXPECT_EQ(eq_batched.cap_active, eq_legacy.cap_active);
-  EXPECT_NEAR(eq_batched.surcharge, eq_legacy.surcharge,
-              1e-4 * (1.0 + eq_legacy.surcharge));
-  EXPECT_NEAR(eq_batched.totals.edge, eq_legacy.totals.edge, 1e-5);
+  ASSERT_TRUE(legacy.converged);
+  EXPECT_EQ(eq_batched.cap_active, legacy.cap_active);
+  EXPECT_NEAR(eq_batched.surcharge, legacy.surcharge,
+              1e-4 * (1.0 + legacy.surcharge));
+  EXPECT_NEAR(eq_batched.totals.edge, legacy.shared_usage, 1e-5);
   EXPECT_LE(eq_batched.totals.edge, params.edge_capacity * (1.0 + 1e-6));
   for (std::size_t i = 0; i < budgets.size(); ++i) {
-    EXPECT_NEAR(eq_batched.requests[i].edge, eq_legacy.requests[i].edge, 1e-4);
-    EXPECT_NEAR(eq_batched.requests[i].cloud, eq_legacy.requests[i].cloud,
-                1e-4);
-  }
-}
-
-TEST(BatchSweeps, ConvergenceStrideDoesNotMoveTheEquilibrium) {
-  const NetworkParams params = default_params();
-  const Prices prices{2.2, 0.9};
-  const std::vector<double> budgets{10.0, 25.0, 40.0, 70.0};
-  MinerSolveOptions stride1;
-  stride1.convergence_stride = 1;
-  MinerSolveOptions stride8;
-  stride8.convergence_stride = 8;
-  const auto eq1 = solve_connected_nep(params, prices, budgets, stride1);
-  const auto eq8 = solve_connected_nep(params, prices, budgets, stride8);
-  ASSERT_TRUE(eq1.converged);
-  ASSERT_TRUE(eq8.converged);
-  for (std::size_t i = 0; i < budgets.size(); ++i) {
-    EXPECT_NEAR(eq1.requests[i].edge, eq8.requests[i].edge, 1e-6);
-    EXPECT_NEAR(eq1.requests[i].cloud, eq8.requests[i].cloud, 1e-6);
+    EXPECT_NEAR(eq_batched.requests[i].edge, legacy.profile[i][0], 1e-4);
+    EXPECT_NEAR(eq_batched.requests[i].cloud, legacy.profile[i][1], 1e-4);
   }
 }
 
@@ -238,10 +281,6 @@ TEST(BatchSweeps, InvalidOptionsThrow) {
   const KernelEnv env = make_kernel_env(params, {2.0, 1.0}, 0.9, 0.0);
   MinerBatch batch = make_miner_batch({10.0, 20.0});
   MinerSolveOptions options;
-  options.convergence_stride = 0;
-  EXPECT_THROW(solve_nep_batch(env, batch, options, {"t", 2.0, 1.0}),
-               support::PreconditionError);
-  options = {};
   options.damping = 0.0;
   EXPECT_THROW(solve_nep_batch(env, batch, options, {"t", 2.0, 1.0}),
                support::PreconditionError);

@@ -250,28 +250,6 @@ TEST(LeaderStage, AutoDispatchAgreesWithTheForcedProfileOracle) {
               0.05 * fast.followers.totals.grand());
 }
 
-TEST(DeprecatedShims, ResolvedContextMergesLegacyFieldsOverTheContext) {
-  FollowerEquilibriumCache cache;
-  SpSolveOptions options;
-  options.context.threads = 2;
-  options.context.follower.tolerance = 1e-7;
-  // Legacy fields still set by old call sites win over the context.
-  options.threads = 3;
-  options.cache = &cache;
-  options.follower.tolerance = 1e-5;
-  const SolveContext resolved = options.resolved_context();
-  EXPECT_EQ(resolved.threads, 3);
-  EXPECT_EQ(resolved.cache, &cache);
-  EXPECT_DOUBLE_EQ(resolved.follower.tolerance, 1e-5);
-  // Untouched legacy fields defer to the context.
-  SpSolveOptions modern;
-  modern.context.threads = 4;
-  modern.context.follower.tolerance = 1e-7;
-  const SolveContext kept = modern.resolved_context();
-  EXPECT_EQ(kept.threads, 4);
-  EXPECT_DOUBLE_EQ(kept.follower.tolerance, 1e-7);
-}
-
 TEST(Exploitability, ProfileOverloadCertifiesOracleEquilibria) {
   const NetworkParams params = default_params();
   const Prices prices{2.0, 1.0};

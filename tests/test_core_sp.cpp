@@ -36,7 +36,7 @@ SpSolveOptions fast_options() {
   options.grid_points = 28;
   options.max_rounds = 40;
   options.tolerance = 1e-4;
-  options.follower.tolerance = 1e-8;
+  options.context.follower.tolerance = 1e-8;
   return options;
 }
 
@@ -75,7 +75,7 @@ TEST(HomogeneousStackelberg, EquilibriumPricesAreStable) {
     const auto eq =
         solve_followers_symmetric(params, prices, 40.0, 5,
                                   EdgeMode::kConnected,
-                                  options.resolved_context());
+                                  options.context);
     return sp_profits(params, prices, eq.totals).cloud;
   };
   const auto composite_edge_payoff = [&](double pe) {
@@ -85,7 +85,7 @@ TEST(HomogeneousStackelberg, EquilibriumPricesAreStable) {
     const auto eq =
         solve_followers_symmetric(params, {pe, pc}, 40.0, 5,
                                   EdgeMode::kConnected,
-                                  options.resolved_context());
+                                  options.context);
     return sp_profits(params, {pe, pc}, eq.totals).edge;
   };
   const double base_cloud = cloud_payoff(result.prices);
@@ -387,40 +387,6 @@ TEST(ProfileFallback, EspProfitHoldsAgainstTheThreeRefinePrices) {
         sp_profits(params, game.prices, oracle->solve(game.prices).totals)
             .edge;
     EXPECT_GE(result.profits.edge, reference_edge * (1.0 - 1e-7));
-  }
-}
-
-TEST(LeaderStageCycle, NoFallbackReturnsTheFullLoopsLastRound) {
-  // With the fallback off the caller gets the raw best-response iterate.
-  // The prices below are where the full loop ended for max_rounds = 60..63
-  // (recorded before the cycle exit existed): one per phase of this game's
-  // period-4 cycle. The early exit must land on each of them exactly.
-  struct Phase {
-    int max_rounds;
-    double price_edge;
-    double price_cloud;
-  };
-  const std::vector<Phase> phases{
-      {60, 0x1.d6edd2ddbec4cp+1, 0x1.8f68be2ef2102p+0},
-      {61, 0x1.e946b5cb9b71ep+0, 0x1.fd2268c5e4f87p-1},
-      {62, 0x1.ap+5, 0x1.0482681079654p+3},
-      {63, 0x1.3f1fbf7f3faa7p+3, 0x1.806e8cc4edbc3p+1},
-  };
-  const NetworkParams params = default_params();
-  for (const Phase& phase : phases) {
-    SCOPED_TRACE(phase.max_rounds);
-    SpSolveOptions options;
-    options.sequential_fallback = false;
-    options.max_rounds = phase.max_rounds;
-    options.context.threads = 1;
-    const auto result = solve_leader_stage_homogeneous(
-        params, 40.0, 5, EdgeMode::kConnected, options);
-    EXPECT_EQ(result.prices.edge, phase.price_edge);
-    EXPECT_EQ(result.prices.cloud, phase.price_cloud);
-    EXPECT_EQ(result.method, SpSolveMethod::kBestResponse);
-    EXPECT_FALSE(result.converged);
-    EXPECT_EQ(result.cycle_period, 4);
-    EXPECT_EQ(result.rounds, 6);  // rounds actually run
   }
 }
 

@@ -241,6 +241,32 @@ TEST(ProfReport, BuildsExclusiveCostsFromSyntheticTrace) {
   EXPECT_NE(out.str().find("total work:"), std::string::npos);
 }
 
+TEST(ProfReport, WarnsWhenTheTraceDroppedSpans) {
+  const std::string trace = R"({
+    "schema": "hecmine.trace.v1",
+    "dropped": 3,
+    "domain_dropped": 0,
+    "traceEvents": [
+      {"name": "leader.round", "ph": "X", "ts": 0.0, "dur": 1000.0,
+       "pid": 1, "tid": 0, "args": {"id": 0, "depth": 0}}
+    ]})";
+  const prof::Report report =
+      prof::build_report(support::json::parse(trace));
+  EXPECT_EQ(report.dropped, 3u);
+  EXPECT_EQ(report.domain_dropped, 0u);
+  std::ostringstream out;
+  prof::print_report(out, report);
+  EXPECT_NE(out.str().find("warning: the trace dropped 3 spans"),
+            std::string::npos);
+
+  // A complete trace prints no warning.
+  const prof::Report complete = prof::build_report(
+      support::json::parse(R"({"dropped": 0, "traceEvents": []})"));
+  std::ostringstream quiet;
+  prof::print_report(quiet, complete);
+  EXPECT_EQ(quiet.str().find("warning"), std::string::npos);
+}
+
 TEST(ProfReport, EmptyTraceYieldsEmptyReport) {
   const prof::Report report = prof::build_report(
       support::json::parse(R"({"traceEvents": []})"));
