@@ -4,22 +4,17 @@
 // through the aggregates E_{-i}, S_{-i} (paper Eq. 14), and Theorem 2's
 // uniqueness makes the equilibrium symmetric within any group of miners
 // sharing a budget. So a pool of N miners drawn from K distinct budgets
-// (K << N) has an equilibrium fully described by K class representatives —
-// the ClassAggregateOracle iterates a K-dimensional fixed point over class
-// totals instead of N per-miner sweeps, then expands per-miner requests and
-// utilities lazily through EquilibriumProfile::request(i) (class-shaped
-// profiles; see EquilibriumProfile::ClassShape). Standalone mode reuses the
-// shared-multiplier decomposition of Theorem 5: the class fixed point runs
-// inside a surcharge bisection to complementarity on E <= E_max, exactly
-// mirroring solve_symmetric_standalone.
-//
-// Class state is stored structure-of-arrays so the per-sweep update is a
-// branch-light sqrt/div chain (the exact interior KKT point of Eq. 14 with
-// lambda = 0, which joint concavity makes the exact global best response
-// whenever it is feasible); infeasible classes fall back to the full
-// miner_best_response boundary search, so the class solve is exact, not an
-// approximation. The only approximation knob is budget_quantum, which snaps
-// budgets onto a grid before bucketing to cap K on near-continuous pools.
+// (K << N) has an equilibrium fully described by K class representatives.
+// The ClassAggregateOracle solves the share-function root of
+// core/share_root.hpp with one weight per class (the class count): O(K)
+// work per root iteration, whatever N is. Per-miner requests and
+// utilities expand lazily through EquilibriumProfile::request(i)
+// (class-shaped profiles; see EquilibriumProfile::ClassShape). Standalone
+// mode reuses the shared-multiplier decomposition of Theorem 5: the same
+// root on the surcharge as the dense standalone solve. The class solve is
+// exact, not an approximation; the only approximation knob is
+// budget_quantum, which snaps budgets onto a grid before bucketing to cap
+// K on near-continuous pools.
 //
 // Dispatch is opt-in: make_profile_oracle consults
 // SolveContext::aggregate (AggregateOracleOptions) and picks this oracle
@@ -57,7 +52,7 @@ struct ClassPartition {
 [[nodiscard]] ClassPartition partition_budget_classes(
     const std::vector<double>& budgets, double budget_quantum = 0.0);
 
-/// Follower oracle solving the K-dimensional class-aggregate fixed point.
+/// Follower oracle solving the class-weighted share root.
 /// Returns class-shaped EquilibriumProfiles: requests/utilities hold one
 /// entry per class and per-miner views expand lazily through the shared
 /// ClassShape. Exact at equilibrium (see file comment); budget_quantum > 0
@@ -82,14 +77,6 @@ class ClassAggregateOracle final : public FollowerOracle {
   }
 
  private:
-  /// Damped Gauss-Seidel fixed point over class representatives at a fixed
-  /// edge surcharge; fills requests (per class) and convergence fields.
-  [[nodiscard]] EquilibriumProfile fixed_point(const Prices& prices,
-                                               double edge_success,
-                                               double surcharge,
-                                               std::vector<MinerRequest>& seed)
-      const;
-
   NetworkParams params_;
   EdgeMode mode_;
   MinerSolveOptions options_;
@@ -98,6 +85,7 @@ class ClassAggregateOracle final : public FollowerOracle {
   ClassPartition partition_;
   /// Shared with every profile this oracle returns (O(K) profile copies).
   std::shared_ptr<const EquilibriumProfile::ClassShape> shape_;
+  std::vector<double> class_weights_;  ///< miners per class, as doubles
   std::uint64_t env_hash_;  ///< budgets are hashed once at construction
 };
 

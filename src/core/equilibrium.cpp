@@ -8,7 +8,7 @@
 
 #include "core/closed_forms.hpp"
 #include "core/kernels.hpp"
-#include "core/soa.hpp"
+#include "core/share_root.hpp"
 #include "numerics/projection.hpp"
 #include "numerics/vi.hpp"
 #include "support/error.hpp"
@@ -68,24 +68,19 @@ MinerEquilibrium solve_connected_nep(const NetworkParams& params,
                                      const MinerSolveOptions& options) {
   check_inputs(params, prices, budgets);
   const double h = params.edge_success;
-  const game::ProbeBinding binding{"nep.best_response", prices.edge,
-                                   prices.cloud};
-  // Batched SoA path: one hoisted KernelEnv, opponent aggregates by
-  // running-total subtraction, Newton boundary solves.
   const KernelEnv env = make_kernel_env(params, prices, h, 0.0);
-  MinerBatch batch = make_miner_batch(
-      budgets, seed_requests(prices, budgets,
-                             std::numeric_limits<double>::infinity()));
-  const BatchSweepResult sweep = solve_nep_batch(env, batch, options, binding);
+  ShareRootResult root = solve_share_root(
+      env, budgets, {}, std::numeric_limits<double>::infinity(),
+      options.tolerance, {"nep.best_response", "gnep.bisection"});
   MinerEquilibrium result;
-  result.requests = extract_requests(batch);
-  result.converged = sweep.converged;
-  result.iterations = sweep.iterations;
-  result.residual = sweep.residual;
+  result.requests = std::move(root.requests);
+  result.converged = root.converged;
+  result.iterations = root.iterations;
+  result.residual = root.residual;
   finish_equilibrium(params, prices, h, result);
   if (!result.converged) {
-    // The movement test can floor at the line-search noise while the point
-    // is already an exact equilibrium; certify by exploitability instead.
+    // The share residual can floor at rounding noise while the point is
+    // already an exact equilibrium; certify by exploitability instead.
     const double gain = miner_exploitability(params, prices, budgets,
                                              result.requests, true);
     result.converged = gain <= 1e-7 * params.reward;
@@ -98,24 +93,19 @@ MinerEquilibrium solve_standalone_gnep(const NetworkParams& params,
                                        const std::vector<double>& budgets,
                                        const MinerSolveOptions& options) {
   check_inputs(params, prices, budgets);
-  const game::ProbeBinding binding{"gnep.inner", prices.edge, prices.cloud};
-  // Fused across-miners surcharge bisection on the SoA batch: the batch
-  // iterate is the warm start shared by every inner solve.
+  // Shared-multiplier decomposition (Theorem 5): the share root at mu,
+  // inside a root of the usage E(mu) = E_max when the cap binds.
   const KernelEnv env = make_kernel_env(params, prices, 1.0, 0.0);
-  MinerBatch batch = make_miner_batch(
-      budgets, seed_requests(prices, budgets, params.edge_capacity));
-  BatchGnepOptions gnep_options;
-  gnep_options.cap = params.edge_capacity;
-  gnep_options.surcharge_hi0 = 0.25 * prices.edge;
-  const BatchGnepResult gnep =
-      solve_gnep_batch(env, batch, gnep_options, options, binding);
+  ShareRootResult root =
+      solve_share_root(env, budgets, {}, params.edge_capacity,
+                       options.tolerance, {"gnep.inner", "gnep.bisection"});
   MinerEquilibrium result;
-  result.requests = extract_requests(batch);
-  result.surcharge = gnep.surcharge;
-  result.cap_active = gnep.cap_active;
-  result.converged = gnep.converged;
-  result.iterations = gnep.inner_solves;
-  result.residual = 0.0;
+  result.requests = std::move(root.requests);
+  result.surcharge = root.surcharge;
+  result.cap_active = root.cap_active;
+  result.converged = root.converged;
+  result.iterations = root.iterations;
+  result.residual = root.residual;
   finish_equilibrium(params, prices, 1.0, result);
   if (!result.converged &&
       result.totals.edge <= params.edge_capacity * (1.0 + 1e-6)) {

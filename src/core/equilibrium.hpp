@@ -1,12 +1,14 @@
 // Miner-subgame equilibria for fixed prices (the follower stage).
 //
 // Connected mode (Problem 1a) is a classical NEP with a unique NE
-// (Theorem 2); we find it by damped best-response dynamics over the exact
-// per-miner best response. Standalone mode (Problem 1c) is a jointly convex
-// GNEP whose variational equilibrium we compute two independent ways:
-// the shared-price decomposition (game::solve_shared_price_gnep) and the
-// extragradient method on the equivalent VI (numerics/vi.hpp). Tests verify
-// the two agree.
+// (Theorem 2); we find it as the root of the share functions on the
+// aggregates (E, S) (core/share_root.hpp). Standalone mode (Problem 1c) is
+// a jointly convex GNEP whose variational equilibrium we compute two
+// independent ways: the shared-multiplier decomposition (the share root
+// inside a root on the surcharge) and the extragradient method on the
+// equivalent VI (numerics/vi.hpp). Tests verify the two agree. The
+// homogeneous fast paths keep their closed forms and damped symmetric
+// fixed point.
 #pragma once
 
 #include <vector>
@@ -15,7 +17,6 @@
 #include "core/params.hpp"
 #include "core/solve_context.hpp"  // MinerSolveOptions lives there now
 #include "core/types.hpp"
-#include "game/nash.hpp"
 
 namespace hecmine::core {
 
@@ -27,8 +28,9 @@ struct MinerEquilibrium {
   double surcharge = 0.0;  ///< GNEP shadow price on E <= E_max (0 if slack)
   bool cap_active = false; ///< standalone only: capacity constraint binds
   bool converged = false;
-  int iterations = 0;      ///< best-response sweeps (inner solves for GNEP)
-  double residual = 0.0;   ///< last profile change / VI natural residual
+  int iterations = 0;      ///< root iterations (summed over GNEP surcharge
+                           ///< probes) / VI iterations
+  double residual = 0.0;   ///< relative share residual / VI natural residual
 };
 
 /// Unique NE of the connected-mode miner subgame (Problem 1a, Theorem 2).
@@ -39,8 +41,8 @@ struct MinerEquilibrium {
 
 /// Variational equilibrium of the standalone-mode GNEP (Problem 1c,
 /// Theorem 5) by shared-price decomposition: all miners face one common
-/// shadow price mu* on ESP units chosen so that E = E_max exactly when the
-/// cap binds (complementarity).
+/// shadow price mu* on ESP units chosen so that E = E_max when the cap
+/// binds (complementarity; E lands at E_max from below).
 [[nodiscard]] MinerEquilibrium solve_standalone_gnep(
     const NetworkParams& params, const Prices& prices,
     const std::vector<double>& budgets, const MinerSolveOptions& options = {});

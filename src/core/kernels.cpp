@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "core/miner.hpp"
 #include "support/error.hpp"
-#include "support/telemetry.hpp"
 
 namespace hecmine::core {
 
@@ -93,11 +91,6 @@ void gradient_kernel(const KernelEnv& env, double e, double c,
 }
 
 namespace {
-
-/// Sweeps between convergence / probe / stall-damping checkpoints of the
-/// batched drivers. Typical solves take tens of sweeps, so checking every
-/// 4th trades at most 3 overshoot sweeps for 4x less bookkeeping.
-constexpr int kConvergenceStride = 4;
 
 /// Safeguarded Newton for the 1-D concave boundary problems: maximizes a
 /// differentiable concave phi on [0, t_max] given phi' (g) and phi'' (h).
@@ -295,267 +288,6 @@ MinerRequest best_response_kernel(const KernelEnv& env, double budget,
     }
   }
   return best;
-}
-
-void batch_utility(const KernelEnv& env, MinerBatch& batch) {
-  const std::size_t n = batch.size();
-  const double* e = batch.edge.data();
-  const double* c = batch.cloud.data();
-  double* utility = batch.utility.data();
-  const double total_edge = batch.total_edge;
-  const double total_cloud = batch.total_cloud;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double oe = std::max(0.0, total_edge - e[i]);
-    const double og = oe + std::max(0.0, total_cloud - c[i]);
-    utility[i] = utility_kernel(env, e[i], c[i], oe, og);
-  }
-  if (auto* work = support::prof::current_block(); work != nullptr)
-    work->add(support::prof::WorkField::kUtilityEvals, n);
-}
-
-void batch_gradient(const KernelEnv& env, const MinerBatch& batch,
-                    double* du_de, double* du_dc) {
-  const std::size_t n = batch.size();
-  const double* e = batch.edge.data();
-  const double* c = batch.cloud.data();
-  const double total_edge = batch.total_edge;
-  const double total_cloud = batch.total_cloud;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double oe = std::max(0.0, total_edge - e[i]);
-    const double og = oe + std::max(0.0, total_cloud - c[i]);
-    gradient_kernel(env, e[i], c[i], oe, og, du_de[i], du_dc[i]);
-  }
-  if (auto* work = support::prof::current_block(); work != nullptr)
-    work->add(support::prof::WorkField::kGradientEvals, n);
-}
-
-void batch_best_response(const KernelEnv& env, MinerBatch& batch) {
-  const std::size_t n = batch.size();
-  const double* e = batch.edge.data();
-  const double* c = batch.cloud.data();
-  const double* budget = batch.budget.data();
-  double* response_e = batch.response_edge.data();
-  double* response_c = batch.response_cloud.data();
-  const double total_edge = batch.total_edge;
-  const double total_cloud = batch.total_cloud;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double oe = std::max(0.0, total_edge - e[i]);
-    const double og = oe + std::max(0.0, total_cloud - c[i]);
-    const MinerRequest response = best_response_kernel(env, budget[i], oe, og);
-    response_e[i] = response.edge;
-    response_c[i] = response.cloud;
-  }
-  if (auto* work = support::prof::current_block(); work != nullptr)
-    work->add(support::prof::WorkField::kBestResponseEvals, n);
-}
-
-BatchSweepResult solve_nep_batch(const KernelEnv& env, MinerBatch& batch,
-                                 const MinerSolveOptions& options,
-                                 const game::ProbeBinding& binding) {
-  HECMINE_REQUIRE(batch.size() > 0, "solve_nep_batch requires miners");
-  HECMINE_REQUIRE(options.damping > 0.0 && options.damping <= 1.0,
-                  "solve_nep_batch: damping must be in (0, 1]");
-  const std::size_t n = batch.size();
-  double* e = batch.edge.data();
-  double* c = batch.cloud.data();
-  const double* budget = batch.budget.data();
-  std::uint8_t* settled = batch.settled.data();
-
-  // Same stall-halving schedule as game::solve_best_response, advanced per
-  // checkpoint rather than per sweep (stall_limit keeps the halving point
-  // at ~30 sweeps).
-  double damping = options.damping;
-  double best_residual = std::numeric_limits<double>::infinity();
-  int stalled = 0;
-  constexpr int stall_limit = std::max(1, 30 / kConvergenceStride);
-
-  support::Telemetry* telemetry = support::current_telemetry();
-  if (telemetry != nullptr && !telemetry->probe.armed()) telemetry = nullptr;
-  const std::uint64_t solve_id =
-      telemetry != nullptr ? telemetry->probe.next_solve_id() : 0;
-  support::prof::ThreadWorkBlock* work = support::prof::current_block();
-
-  BatchSweepResult result;
-  batch.recompute_totals();
-  for (int iteration = 1; iteration <= options.max_iterations; ++iteration) {
-    result.iterations = iteration;
-    double total_edge = batch.total_edge;
-    double total_cloud = batch.total_cloud;
-    double change = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const double oe = std::max(0.0, total_edge - e[i]);
-      const double og = oe + std::max(0.0, total_cloud - c[i]);
-      const MinerRequest response =
-          best_response_kernel(env, budget[i], oe, og);
-      const double new_e = (1.0 - damping) * e[i] + damping * response.edge;
-      const double new_c = (1.0 - damping) * c[i] + damping * response.cloud;
-      const double move =
-          std::max(std::abs(new_e - e[i]), std::abs(new_c - c[i]));
-      change = std::max(change, move);
-      settled[i] = move < options.tolerance ? 1 : 0;
-      total_edge += new_e - e[i];
-      total_cloud += new_c - c[i];
-      e[i] = new_e;
-      c[i] = new_c;
-    }
-    batch.total_edge = total_edge;
-    batch.total_cloud = total_cloud;
-    result.residual = change;
-    if (work != nullptr) {
-      // One Gauss-Seidel sweep = n best-response kernel evaluations. The
-      // counts are incremented per sweep (not per miner) so the profiled
-      // hot path pays two relaxed adds per n kernel calls.
-      work->add(support::prof::WorkField::kSweeps, 1);
-      work->add(support::prof::WorkField::kBestResponseEvals, n);
-    }
-
-    if (iteration % kConvergenceStride != 0 &&
-        iteration != options.max_iterations)
-      continue;
-    // Checkpoint: exact re-sum bounds incremental-total drift, then the
-    // legacy convergence / probe / stall logic runs on this sweep's change.
-    batch.recompute_totals();
-    if (work != nullptr)
-      work->add(support::prof::WorkField::kConvergenceChecks, 1);
-    if (telemetry != nullptr) {
-      support::IterationProbe::Record record;
-      record.solver = binding.solver;
-      record.solve = solve_id;
-      record.iteration = iteration;
-      record.residual = change;
-      record.tolerance = options.tolerance;
-      record.price_edge = binding.price_edge;
-      record.price_cloud = binding.price_cloud;
-      record.total_edge = batch.total_edge;
-      record.total_cloud = batch.total_cloud;
-      record.step = damping;
-      record.cap_active = env.surcharge > 0.0;
-      telemetry->probe.record(record);
-    }
-    if (change < options.tolerance) {
-      result.converged = true;
-      return result;
-    }
-    if (change < 0.95 * best_residual) {
-      best_residual = change;
-      stalled = 0;
-    } else if (++stalled >= stall_limit && damping > 0.02) {
-      damping *= 0.5;
-      stalled = 0;
-    }
-  }
-  return result;
-}
-
-namespace {
-
-/// Mirror of game/gnep.cpp's solve-level telemetry so the fused path feeds
-/// the same counters the dashboards already read.
-void record_gnep_solve(const BatchGnepResult& result) {
-  support::Telemetry* telemetry = support::current_telemetry();
-  if (telemetry == nullptr) return;
-  telemetry->metrics.counter("gnep.solves").add();
-  if (!result.converged) telemetry->metrics.counter("gnep.nonconverged").add();
-  telemetry->metrics
-      .histogram("gnep.inner_solves", support::geometric_edges(1.0, 2.0, 12))
-      .observe(static_cast<double>(result.inner_solves));
-}
-
-}  // namespace
-
-BatchGnepResult solve_gnep_batch(const KernelEnv& env, MinerBatch& batch,
-                                 const BatchGnepOptions& gnep,
-                                 const MinerSolveOptions& options,
-                                 const game::ProbeBinding& inner_binding) {
-  HECMINE_REQUIRE(gnep.cap >= 0.0, "solve_gnep_batch requires cap >= 0");
-  BatchGnepResult result;
-
-  support::Telemetry* span_sink = support::current_telemetry();
-  const support::SolveTrace::Scope span(
-      span_sink != nullptr ? &span_sink->trace : nullptr, "gnep.bisection");
-
-  support::Telemetry* telemetry = support::current_telemetry();
-  if (telemetry != nullptr && !telemetry->probe.armed()) telemetry = nullptr;
-  const std::uint64_t bisection_id =
-      telemetry != nullptr ? telemetry->probe.next_solve_id() : 0;
-
-  // The batch iterate IS the warm start: each inner solve refines it in
-  // place, so bisection steps stay cheap exactly as in the std::function
-  // decomposition.
-  bool inner_ok = true;
-  const auto solve_at = [&](double mu) {
-    // Each surcharge probe (initial, bracket expansion, or halving step)
-    // counts as one bisection iteration.
-    if (auto* work = support::prof::current_block(); work != nullptr)
-      work->add(support::prof::WorkField::kBisectionIters, 1);
-    const KernelEnv penalized = with_surcharge(env, mu);
-    const BatchSweepResult sweep =
-        solve_nep_batch(penalized, batch, options, inner_binding);
-    ++result.inner_solves;
-    inner_ok = inner_ok && sweep.converged;
-    if (telemetry != nullptr) {
-      support::IterationProbe::Record record;
-      record.solver = "gnep.bisection";
-      record.solve = bisection_id;
-      record.iteration = result.inner_solves;
-      record.residual = std::max(0.0, batch.total_edge - gnep.cap);
-      record.tolerance = gnep.complementarity_tol;
-      record.price_edge = inner_binding.price_edge;
-      record.price_cloud = inner_binding.price_cloud;
-      record.total_edge = batch.total_edge;
-      record.step = mu;
-      record.cap_active =
-          batch.total_edge >= gnep.cap - gnep.complementarity_tol;
-      telemetry->probe.record(record);
-    }
-    return batch.total_edge;
-  };
-
-  double usage = solve_at(0.0);
-  if (usage <= gnep.cap + gnep.complementarity_tol) {
-    result.surcharge = 0.0;
-    result.shared_usage = usage;
-    result.cap_active = usage >= gnep.cap - gnep.complementarity_tol;
-    result.converged = inner_ok;
-    record_gnep_solve(result);
-    return result;
-  }
-
-  // The cap binds: bracket mu* (usage is non-increasing in mu), then bisect.
-  double lo = 0.0;
-  double hi = gnep.surcharge_hi0;
-  for (int expansion = 0; expansion < 80; ++expansion) {
-    if (solve_at(hi) <= gnep.cap) break;
-    lo = hi;
-    hi *= 2.0;
-    HECMINE_REQUIRE(hi < 1e30,
-                    "solve_gnep_batch: surcharge bracket exploded; usage "
-                    "does not fall with the surcharge");
-  }
-  for (int step = 0; step < gnep.max_bisection_steps; ++step) {
-    const double mid = 0.5 * (lo + hi);
-    usage = solve_at(mid);
-    if (std::abs(usage - gnep.cap) <= gnep.complementarity_tol) {
-      lo = hi = mid;
-      break;
-    }
-    if (usage > gnep.cap)
-      lo = mid;
-    else
-      hi = mid;
-    if (hi - lo <= 1e-14 * (1.0 + hi)) break;
-  }
-  const double mu = 0.5 * (lo + hi);
-  result.shared_usage = solve_at(mu);
-  result.surcharge = mu;
-  result.cap_active = true;
-  // Complementarity may sit slightly off cap at the final bisection width;
-  // accept within 10x the requested tolerance (as the legacy path does).
-  result.converged =
-      inner_ok && std::abs(result.shared_usage - gnep.cap) <=
-                      10.0 * gnep.complementarity_tol;
-  record_gnep_solve(result);
-  return result;
 }
 
 }  // namespace hecmine::core

@@ -1,36 +1,24 @@
-// Batched follower-solver kernels over the SoA workspace (core/soa.hpp).
+// Scalar follower kernels: the closed forms of one miner's problem.
 //
 // A KernelEnv hoists everything a best-response evaluation needs that does
 // NOT vary per miner — validated prices, the surcharge, and the Eq. (14)
-// interior constants sigma_1^2 / sigma_2^2 — out of the per-iteration path.
+// interior constants sigma_1^2 / sigma_2^2 — out of the per-call path.
 // The kernels themselves are plain functions of doubles: no MinerEnv
 // construction, no validation, no std::function, no per-call allocation.
 //
-// The scalar kernels are the single source of truth for the closed forms:
+// The kernels are the single source of truth for the closed forms:
 // core/miner.cpp's miner_best_response / miner_utility entry points are
-// thin wrappers over batch-of-one calls here, so scalar and batched paths
-// agree bitwise by construction. The batch_* kernels are flat loops over
-// double* spans; the sweep drivers (solve_nep_batch / solve_gnep_batch)
-// reproduce the damped Gauss-Seidel dynamics of game::solve_best_response
-// and game::solve_shared_price_gnep with:
-//
-//   * opponent aggregates by running-total subtraction (O(n) per sweep
-//     instead of O(n^2)); totals are re-summed exactly at every
-//     convergence checkpoint so rounding drift stays bounded,
-//   * convergence / probe / stall-damping checks every 4th sweep instead of
-//     every sweep,
-//   * boundary segments solved by safeguarded Newton on the exact
-//     derivative (with the legacy golden-section search kept as the
-//     fallback for the degenerate discontinuous cases).
-//
-// Tolerance-delta policy vs the pre-kernel scalar path: see DESIGN.md §13.
+// thin wrappers over them, so both agree bitwise by construction. The
+// best response solves its boundary segments by safeguarded Newton on the
+// exact derivative (golden-section search for the degenerate
+// discontinuous cases). The full-profile follower solves do not iterate
+// best responses: they root the share functions (core/share_root.hpp).
+// The best response serves the exploitability certificates, the audit and
+// the symmetric fixed point.
 #pragma once
 
 #include "core/params.hpp"
-#include "core/soa.hpp"
-#include "core/solve_context.hpp"
 #include "core/types.hpp"
-#include "game/nash.hpp"
 
 namespace hecmine::core {
 
@@ -63,10 +51,10 @@ struct KernelEnv {
 [[nodiscard]] KernelEnv make_kernel_env(const MinerEnv& env);
 
 /// Re-derives the surcharge-dependent constants at a new mu (used by the
-/// GNEP bisection; everything else is copied).
+/// surcharge search; everything else is copied).
 [[nodiscard]] KernelEnv with_surcharge(KernelEnv env, double surcharge);
 
-// --- scalar (batch-of-one) kernels ----------------------------------------
+// --- scalar kernels -------------------------------------------------------
 // All take the opponent aggregates E_{-i} (`others_edge`) and S_{-i}
 // (`others_grand` = E_{-i} + C_{-i}) directly; arithmetic mirrors the
 // legacy core/miner.cpp expressions term for term so the wrappers there
@@ -88,7 +76,7 @@ void gradient_kernel(const KernelEnv& env, double e, double c,
                      double others_edge, double others_grand, double& du_de,
                      double& du_dc);
 
-/// Exact best response over the budget polytope — the batch-of-one kernel
+/// Exact best response over the budget polytope — the kernel
 /// behind miner_best_response (same candidate structure: interior KKT
 /// point, budget line, edge axis, cloud axis, origin; same epsilon-probe
 /// and zero-budget branches).
@@ -96,67 +84,5 @@ void gradient_kernel(const KernelEnv& env, double e, double c,
                                                 double budget,
                                                 double others_edge,
                                                 double others_grand);
-
-// --- batched flat-loop kernels --------------------------------------------
-
-/// Fills batch.utility with the true per-miner utilities at the current
-/// iterate (opponent aggregates by subtraction from the running totals;
-/// call batch.recompute_totals() first if the totals may have drifted).
-void batch_utility(const KernelEnv& env, MinerBatch& batch);
-
-/// Writes the penalized-utility gradient at the current iterate into
-/// du_de/du_dc (each of batch.size() doubles).
-void batch_gradient(const KernelEnv& env, const MinerBatch& batch,
-                    double* du_de, double* du_dc);
-
-/// Jacobi-style batched best response: writes every miner's best response
-/// against the current totals into batch.response_edge/response_cloud
-/// without touching the iterate.
-void batch_best_response(const KernelEnv& env, MinerBatch& batch);
-
-// --- sweep drivers ---------------------------------------------------------
-
-/// Outcome of a batched sweep solve.
-struct BatchSweepResult {
-  bool converged = false;
-  int iterations = 0;    ///< sweeps executed
-  double residual = 0.0; ///< max-norm iterate change in the last sweep
-};
-
-/// Damped Gauss-Seidel best-response dynamics on the batch, reproducing
-/// game::solve_best_response (stall-halving damping schedule included) with
-/// checks every 4th sweep. Probe records flow to
-/// the thread's telemetry sink under binding.solver, one per checkpoint.
-BatchSweepResult solve_nep_batch(const KernelEnv& env, MinerBatch& batch,
-                                 const MinerSolveOptions& options,
-                                 const game::ProbeBinding& binding);
-
-/// Options of the fused GNEP surcharge bisection (defaults mirror
-/// game::SharedPriceGnepOptions).
-struct BatchGnepOptions {
-  double cap = 0.0;                   ///< shared edge capacity E_max
-  double surcharge_hi0 = 1.0;         ///< initial upper bracket for mu
-  double complementarity_tol = 1e-7;  ///< |E - E_max| tolerance when mu > 0
-  int max_bisection_steps = 200;
-};
-
-/// Outcome of the fused GNEP solve.
-struct BatchGnepResult {
-  double surcharge = 0.0;
-  double shared_usage = 0.0;  ///< total edge demand at the equilibrium
-  bool cap_active = false;
-  bool converged = false;
-  int inner_solves = 0;
-};
-
-/// Fused across-miners budget-multiplier bisection for the standalone GNEP:
-/// solves the mu-penalized decoupled NEP on the batch (warm-started in
-/// place across bisection steps) and bisects mu to complementarity,
-/// reproducing game::solve_shared_price_gnep including its telemetry
-/// (gnep.bisection trace span + probe records, gnep.* counters).
-BatchGnepResult solve_gnep_batch(const KernelEnv& env, MinerBatch& batch,
-                                 const BatchGnepOptions& gnep,
-                                 const MinerSolveOptions& options,
-                                 const game::ProbeBinding& inner_binding);
 
 }  // namespace hecmine::core

@@ -27,10 +27,15 @@ namespace hecmine::core {
 
 class FollowerEquilibriumCache;  // core/equilibrium_cache.hpp
 
-/// Options for the follower-stage solvers.
+/// Options for the follower-stage solvers. The full-profile share root
+/// (core/share_root.hpp) reads only `tolerance`, as its convergence
+/// threshold on the relative share residual; the damped symmetric fixed
+/// point reads all three of damping, tolerance (max-norm change) and
+/// max_iterations; the VI cross-check reads vi_tolerance and
+/// max_iterations.
 struct MinerSolveOptions {
-  double damping = 0.5;       ///< best-response damping (1 = undamped)
-  double tolerance = 1e-9;    ///< profile max-norm change at convergence
+  double damping = 0.5;       ///< symmetric fixed-point damping (1 = undamped)
+  double tolerance = 1e-9;    ///< convergence threshold (see above)
   int max_iterations = 4000;
   double vi_tolerance = 1e-8; ///< natural-residual target of the VI solver
 };

@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <map>
 #include <memory>
 #include <vector>
 
@@ -18,6 +21,7 @@
 #include "core/sp.hpp"
 #include "core/welfare.hpp"
 #include "support/error.hpp"
+#include "support/rng.hpp"
 
 namespace hecmine::core {
 namespace {
@@ -71,6 +75,50 @@ TEST(ClassPartition, RejectsNegativeInputs) {
                support::PreconditionError);
   EXPECT_THROW((void)partition_budget_classes({1.0}, -0.5),
                support::PreconditionError);
+}
+
+TEST(ClassPartition, MatchesAnOrderedMapBucketingBitwise) {
+  // Reference: the ordered-map bucketing (the first key inserted names its
+  // class). The flat-hash partition must give the same classes, counts,
+  // class_of and names, with -0.0 and 0.0 sharing a class.
+  support::Rng rng{42};
+  for (int trial = 0; trial < 20; ++trial) {
+    const int distinct = 1 + static_cast<int>(rng.uniform_index(300));
+    std::vector<double> keys(static_cast<std::size_t>(distinct));
+    for (double& key : keys) key = rng.uniform(0.0, 500.0);
+    keys[0] = trial % 2 == 0 ? -0.0 : 0.0;
+    if (keys.size() > 1) keys[1] = trial % 2 == 0 ? 0.0 : -0.0;
+    std::vector<double> budgets(2000);
+    for (double& budget : budgets)
+      budget = keys[rng.uniform_index(keys.size())];
+    const double quantum = trial % 3 == 0 ? 0.5 : 0.0;
+    const ClassPartition partition = partition_budget_classes(budgets, quantum);
+
+    std::map<double, std::uint32_t> index_of;
+    std::vector<double> snapped(budgets.size());
+    for (std::size_t i = 0; i < budgets.size(); ++i) {
+      snapped[i] = quantum > 0.0
+                       ? quantum * static_cast<double>(
+                                       std::llround(budgets[i] / quantum))
+                       : budgets[i];
+      index_of.emplace(snapped[i], 0);
+    }
+    std::uint32_t next = 0;
+    for (auto& [key, index] : index_of) index = next++;
+    ASSERT_EQ(partition.classes.size(), index_of.size());
+    std::vector<int> counts(index_of.size(), 0);
+    for (std::size_t i = 0; i < budgets.size(); ++i) {
+      const std::uint32_t k = index_of.at(snapped[i]);
+      ASSERT_EQ(partition.class_of[i], k);
+      ++counts[k];
+    }
+    for (const auto& [key, index] : index_of) {
+      const MinerClass& cls = partition.classes[index];
+      EXPECT_EQ(std::signbit(cls.budget), std::signbit(key));
+      EXPECT_EQ(cls.budget, key);
+      EXPECT_EQ(cls.count, counts[index]);
+    }
+  }
 }
 
 TEST(ClassAggregateOracleParity, ConnectedMatchesDenseNepPerMiner) {

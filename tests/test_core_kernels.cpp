@@ -1,21 +1,11 @@
-// Tests for the SoA kernel layer (core/soa.hpp + core/kernels.hpp):
-// AoS <-> SoA round-trip exactness, batch-of-one vs scalar bitwise parity,
-// and batched-vs-generic sweep parity on heterogeneous NEP/GNEP fixtures
-// (the generic game:: drivers serve as the reference).
+// Tests for the scalar kernel layer (core/kernels.hpp): bitwise parity
+// with the core/miner.hpp entry points and the hoisted KernelEnv
+// constants.
 #include "core/kernels.hpp"
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-#include <limits>
-#include <thread>
-#include <vector>
-
-#include "core/equilibrium.hpp"
 #include "core/miner.hpp"
-#include "core/soa.hpp"
-#include "game/gnep.hpp"
-#include "game/nash.hpp"
 #include "support/error.hpp"
 #include "support/rng.hpp"
 
@@ -45,49 +35,6 @@ MinerEnv scalar_env(const NetworkParams& params, const Prices& prices,
   env.budget = budget;
   env.others = others;
   return env;
-}
-
-TEST(MinerBatchSoA, RoundTripIsBitwiseExact) {
-  support::Rng rng{7};
-  std::vector<double> budgets(17);
-  std::vector<MinerRequest> requests(17);
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    budgets[i] = rng.uniform(0.0, 100.0);
-    // Irrational-ish coordinates so any recomputation would show.
-    requests[i] = {rng.uniform(0.0, 10.0) * std::sqrt(2.0),
-                   rng.uniform(0.0, 10.0) * std::sqrt(3.0)};
-  }
-  const MinerBatch batch = make_miner_batch(budgets, requests);
-  const std::vector<MinerRequest> back = extract_requests(batch);
-  ASSERT_EQ(back.size(), requests.size());
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    EXPECT_EQ(back[i].edge, requests[i].edge);    // bitwise, not approx
-    EXPECT_EQ(back[i].cloud, requests[i].cloud);
-    EXPECT_EQ(batch.budget[i], budgets[i]);
-  }
-}
-
-TEST(MinerBatchSoA, TotalsMatchAggregateExactly) {
-  support::Rng rng{11};
-  std::vector<double> budgets(9, 10.0);
-  std::vector<MinerRequest> requests(9);
-  for (auto& request : requests)
-    request = {rng.uniform(0.0, 5.0), rng.uniform(0.0, 5.0)};
-  const MinerBatch batch = make_miner_batch(budgets, requests);
-  const Totals totals = aggregate(requests);
-  // Same index-order summation: bitwise equality, not just closeness.
-  EXPECT_EQ(batch.total_edge, totals.edge);
-  EXPECT_EQ(batch.total_cloud, totals.cloud);
-}
-
-TEST(MinerBatchSoA, LoadRequestsRefreshesTotals) {
-  MinerBatch batch = make_miner_batch({10.0, 20.0});
-  EXPECT_EQ(batch.total_edge, 0.0);
-  load_requests(batch, {{1.0, 2.0}, {3.0, 4.0}});
-  EXPECT_EQ(batch.total_edge, 1.0 + 3.0);
-  EXPECT_EQ(batch.total_cloud, 2.0 + 4.0);
-  EXPECT_THROW(load_requests(batch, {{1.0, 2.0}}),
-               support::PreconditionError);
 }
 
 TEST(ScalarKernels, BitwiseMatchMinerEntryPoints) {
@@ -128,187 +75,6 @@ TEST(ScalarKernels, BitwiseMatchMinerEntryPoints) {
                       ke, kc);
       EXPECT_EQ(du_de, ke);
       EXPECT_EQ(du_dc, kc);
-    }
-  }
-}
-
-TEST(BatchKernels, MatchScalarKernelsPerMiner) {
-  // batch_* loops must agree bitwise with the scalar kernels evaluated at
-  // the same running-total-derived opponent aggregates.
-  const NetworkParams params = default_params();
-  const Prices prices{2.0, 1.0};
-  const KernelEnv env = make_kernel_env(params, prices, 0.9, 0.0);
-  support::Rng rng{31};
-  std::vector<double> budgets(13);
-  std::vector<MinerRequest> requests(13);
-  for (std::size_t i = 0; i < budgets.size(); ++i) {
-    budgets[i] = rng.uniform(5.0, 60.0);
-    requests[i] = {rng.uniform(0.0, 4.0), rng.uniform(0.0, 8.0)};
-  }
-  MinerBatch batch = make_miner_batch(budgets, requests);
-  batch_utility(env, batch);
-  batch_best_response(env, batch);
-  std::vector<double> du_de(batch.size());
-  std::vector<double> du_dc(batch.size());
-  batch_gradient(env, batch, du_de.data(), du_dc.data());
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    const double oe = std::max(0.0, batch.total_edge - batch.edge[i]);
-    const double og = oe + std::max(0.0, batch.total_cloud - batch.cloud[i]);
-    EXPECT_EQ(batch.utility[i],
-              utility_kernel(env, batch.edge[i], batch.cloud[i], oe, og));
-    const MinerRequest br = best_response_kernel(env, budgets[i], oe, og);
-    EXPECT_EQ(batch.response_edge[i], br.edge);
-    EXPECT_EQ(batch.response_cloud[i], br.cloud);
-    double ge = 0.0;
-    double gc = 0.0;
-    gradient_kernel(env, batch.edge[i], batch.cloud[i], oe, og, ge, gc);
-    EXPECT_EQ(du_de[i], ge);
-    EXPECT_EQ(du_dc[i], gc);
-  }
-}
-
-/// Reference follower solves on the generic game:: drivers (game/nash,
-/// game/gnep) with one miner_best_response per player per sweep: the
-/// per-miner std::function machinery the batched kernels replaced, seeded
-/// and damped as the library's follower solves are.
-MinerEnv reference_env(const NetworkParams& params, const Prices& prices,
-                       double budget, double edge_success, double surcharge,
-                       const game::Profile& profile, std::size_t player) {
-  MinerEnv env;
-  env.reward = params.reward;
-  env.fork_rate = params.fork_rate;
-  env.edge_success = edge_success;
-  env.prices = prices;
-  env.edge_surcharge = surcharge;
-  env.budget = budget;
-  for (std::size_t j = 0; j < profile.size(); ++j) {
-    if (j == player) continue;
-    env.others.edge += profile[j][0];
-    env.others.cloud += profile[j][1];
-  }
-  return env;
-}
-
-game::Profile reference_seed(const Prices& prices,
-                             const std::vector<double>& budgets,
-                             double edge_cap) {
-  game::Profile start(budgets.size());
-  for (std::size_t i = 0; i < budgets.size(); ++i)
-    start[i] = {std::min(0.25 * budgets[i] / prices.edge,
-                         0.5 * edge_cap / static_cast<double>(budgets.size())),
-                0.25 * budgets[i] / prices.cloud};
-  return start;
-}
-
-game::BestResponseOptions reference_sweep() {
-  const MinerSolveOptions defaults;
-  game::BestResponseOptions options;
-  options.damping = defaults.damping;
-  options.tolerance = defaults.tolerance;
-  options.max_iterations = defaults.max_iterations;
-  return options;
-}
-
-TEST(BatchSweeps, NepParityWithLegacySweepHeterogeneous) {
-  // Theorem 2 uniqueness: the batched Gauss-Seidel driver and the generic
-  // std::function sweep must land on the same equilibrium.
-  const NetworkParams params = default_params();
-  const Prices prices{2.0, 1.0};
-  const std::vector<double> budgets{5.0, 12.5, 20.0, 35.0, 60.0, 90.0};
-  const auto eq_batched = solve_connected_nep(params, prices, budgets, {});
-  const double h = params.edge_success;
-  const auto legacy = game::solve_best_response(
-      [&](const game::Profile& profile, std::size_t player) {
-        const MinerRequest response = miner_best_response(reference_env(
-            params, prices, budgets[player], h, 0.0, profile, player));
-        return std::vector<double>{response.edge, response.cloud};
-      },
-      reference_seed(prices, budgets, std::numeric_limits<double>::infinity()),
-      reference_sweep());
-  ASSERT_TRUE(eq_batched.converged);
-  ASSERT_TRUE(legacy.converged);
-  for (std::size_t i = 0; i < budgets.size(); ++i) {
-    EXPECT_NEAR(eq_batched.requests[i].edge, legacy.profile[i][0], 1e-6);
-    EXPECT_NEAR(eq_batched.requests[i].cloud, legacy.profile[i][1], 1e-6);
-    const double legacy_utility = miner_utility(
-        reference_env(params, prices, budgets[i], h, 0.0, legacy.profile, i),
-        {legacy.profile[i][0], legacy.profile[i][1]});
-    EXPECT_NEAR(eq_batched.utilities[i], legacy_utility, 1e-4);
-  }
-  EXPECT_NEAR(miner_exploitability(params, prices, budgets,
-                                   eq_batched.requests, true),
-              0.0, 1e-5);
-}
-
-TEST(BatchSweeps, GnepParityWithLegacyDecompositionHeterogeneous) {
-  // Tight capacity so the surcharge bisection actually runs in both paths.
-  NetworkParams params = default_params();
-  params.edge_capacity = 4.0;
-  const Prices prices{1.6, 1.0};
-  const std::vector<double> budgets{8.0, 15.0, 30.0, 55.0};
-  const auto eq_batched = solve_standalone_gnep(params, prices, budgets, {});
-  game::SharedPriceGnepOptions gnep_options;
-  gnep_options.inner = reference_sweep();
-  gnep_options.surcharge_hi0 = 0.25 * prices.edge;
-  const auto legacy = game::solve_shared_price_gnep(
-      [&](const game::Profile& profile, std::size_t player, double surcharge) {
-        const MinerRequest response = miner_best_response(reference_env(
-            params, prices, budgets[player], 1.0, surcharge, profile, player));
-        return std::vector<double>{response.edge, response.cloud};
-      },
-      [](const game::Profile& profile) {
-        double edge = 0.0;
-        for (const auto& strategy : profile) edge += strategy[0];
-        return edge;
-      },
-      params.edge_capacity,
-      reference_seed(prices, budgets, params.edge_capacity), gnep_options);
-  ASSERT_TRUE(eq_batched.converged);
-  ASSERT_TRUE(legacy.converged);
-  EXPECT_EQ(eq_batched.cap_active, legacy.cap_active);
-  EXPECT_NEAR(eq_batched.surcharge, legacy.surcharge,
-              1e-4 * (1.0 + legacy.surcharge));
-  EXPECT_NEAR(eq_batched.totals.edge, legacy.shared_usage, 1e-5);
-  EXPECT_LE(eq_batched.totals.edge, params.edge_capacity * (1.0 + 1e-6));
-  for (std::size_t i = 0; i < budgets.size(); ++i) {
-    EXPECT_NEAR(eq_batched.requests[i].edge, legacy.profile[i][0], 1e-4);
-    EXPECT_NEAR(eq_batched.requests[i].cloud, legacy.profile[i][1], 1e-4);
-  }
-}
-
-TEST(BatchSweeps, InvalidOptionsThrow) {
-  const NetworkParams params = default_params();
-  const KernelEnv env = make_kernel_env(params, {2.0, 1.0}, 0.9, 0.0);
-  MinerBatch batch = make_miner_batch({10.0, 20.0});
-  MinerSolveOptions options;
-  options.damping = 0.0;
-  EXPECT_THROW(solve_nep_batch(env, batch, options, {"t", 2.0, 1.0}),
-               support::PreconditionError);
-}
-
-TEST(BatchSweeps, ConcurrentBatchSolvesAgree) {
-  // The drivers share no mutable state across batches; concurrent solves
-  // (as the leader-stage price scans issue) must be race-free and
-  // deterministic. Run under TSan via the `tsan` label.
-  const NetworkParams params = default_params();
-  const Prices prices{2.0, 1.0};
-  const std::vector<double> budgets{10.0, 20.0, 30.0, 40.0};
-  const MinerSolveOptions options;
-  const auto solve_once = [&] {
-    return solve_connected_nep(params, prices, budgets, options);
-  };
-  const MinerEquilibrium reference = solve_once();
-  std::vector<MinerEquilibrium> results(4);
-  std::vector<std::thread> workers;
-  workers.reserve(results.size());
-  for (auto& slot : results)
-    workers.emplace_back([&, out = &slot] { *out = solve_once(); });
-  for (auto& worker : workers) worker.join();
-  for (const MinerEquilibrium& eq : results) {
-    ASSERT_EQ(eq.requests.size(), reference.requests.size());
-    for (std::size_t i = 0; i < eq.requests.size(); ++i) {
-      EXPECT_EQ(eq.requests[i].edge, reference.requests[i].edge);
-      EXPECT_EQ(eq.requests[i].cloud, reference.requests[i].cloud);
     }
   }
 }
