@@ -91,7 +91,7 @@ ClassPartition partition_budget_classes(const std::vector<double>& budgets,
 }
 
 ClassAggregateOracle::ClassAggregateOracle(NetworkParams params,
-                                           std::vector<double> budgets,
+                                           const std::vector<double>& budgets,
                                            EdgeMode mode,
                                            MinerSolveOptions options,
                                            double budget_quantum)
@@ -99,20 +99,20 @@ ClassAggregateOracle::ClassAggregateOracle(NetworkParams params,
       mode_(mode),
       options_(options),
       budget_quantum_(budget_quantum),
-      miner_count_(static_cast<int>(budgets.size())),
-      partition_(partition_budget_classes(budgets, budget_quantum)) {
+      miner_count_(static_cast<int>(budgets.size())) {
   HECMINE_REQUIRE(!budgets.empty(), "ClassAggregateOracle: no miners");
+  ClassPartition partition = partition_budget_classes(budgets, budget_quantum);
+  classes_ = std::move(partition.classes);
   auto shape = std::make_shared<EquilibriumProfile::ClassShape>();
-  shape->of = partition_.class_of;
-  shape->counts.reserve(partition_.classes.size());
-  shape->budgets.reserve(partition_.classes.size());
-  class_weights_.reserve(partition_.classes.size());
-  for (const MinerClass& cls : partition_.classes) {
+  shape->of = std::move(partition.class_of);
+  shape->counts.reserve(classes_.size());
+  shape->budgets.reserve(classes_.size());
+  class_weights_.reserve(classes_.size());
+  for (const MinerClass& cls : classes_) {
     shape->counts.push_back(cls.count);
     shape->budgets.push_back(cls.budget);
     class_weights_.push_back(static_cast<double>(cls.count));
   }
-  shape_ = std::move(shape);
 
   // Budgets are hashed once here: the per-miner class map is part of the
   // oracle's identity (request(i) depends on it), and hashing it per
@@ -122,14 +122,15 @@ ClassAggregateOracle::ClassAggregateOracle(NetworkParams params,
   h = hash_mix(h, static_cast<std::uint64_t>(mode_ == EdgeMode::kConnected));
   h = hash_mix(h, budget_quantum_);
   h = hash_mix(h, static_cast<std::uint64_t>(miner_count_));
-  h = hash_mix(h, static_cast<std::uint64_t>(partition_.classes.size()));
-  for (const MinerClass& cls : partition_.classes) {
+  h = hash_mix(h, static_cast<std::uint64_t>(classes_.size()));
+  for (const MinerClass& cls : classes_) {
     h = hash_mix(h, cls.budget);
     h = hash_mix(h, static_cast<std::uint64_t>(cls.count));
   }
-  for (std::uint32_t k : partition_.class_of)
+  for (std::uint32_t k : shape->of)
     h = hash_mix(h, static_cast<std::uint64_t>(k));
   env_hash_ = h;
+  shape_ = std::move(shape);
 }
 
 EquilibriumProfile ClassAggregateOracle::solve(const Prices& prices) const {
@@ -221,12 +222,10 @@ std::unique_ptr<FollowerOracle> make_profile_oracle(
   const AggregateOracleOptions& aggregate = context.aggregate;
   if (aggregate.dispatch_threshold > 0 &&
       static_cast<int>(budgets.size()) >= aggregate.dispatch_threshold) {
-    const ClassPartition partition =
-        partition_budget_classes(budgets, aggregate.budget_quantum);
-    if (static_cast<int>(partition.classes.size()) <= aggregate.max_classes) {
-      return std::make_unique<ClassAggregateOracle>(
-          params, budgets, mode, context.follower, aggregate.budget_quantum);
-    }
+    // Build first and check K after: the partition runs once either way.
+    auto oracle = std::make_unique<ClassAggregateOracle>(
+        params, budgets, mode, context.follower, aggregate.budget_quantum);
+    if (oracle->class_count() <= aggregate.max_classes) return oracle;
   }
   if (mode == EdgeMode::kConnected)
     return std::make_unique<ConnectedNepOracle>(params, budgets,

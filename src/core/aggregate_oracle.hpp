@@ -59,8 +59,9 @@ struct ClassPartition {
 /// is the one documented approximation.
 class ClassAggregateOracle final : public FollowerOracle {
  public:
-  ClassAggregateOracle(NetworkParams params, std::vector<double> budgets,
-                       EdgeMode mode, MinerSolveOptions options = {},
+  ClassAggregateOracle(NetworkParams params,
+                       const std::vector<double>& budgets, EdgeMode mode,
+                       MinerSolveOptions options = {},
                        double budget_quantum = 0.0);
 
   [[nodiscard]] EquilibriumProfile solve(const Prices& prices) const override;
@@ -70,10 +71,10 @@ class ClassAggregateOracle final : public FollowerOracle {
 
   /// Number of budget classes (K).
   [[nodiscard]] int class_count() const noexcept {
-    return static_cast<int>(partition_.classes.size());
+    return static_cast<int>(classes_.size());
   }
   [[nodiscard]] const std::vector<MinerClass>& classes() const noexcept {
-    return partition_.classes;
+    return classes_;
   }
 
  private:
@@ -82,8 +83,9 @@ class ClassAggregateOracle final : public FollowerOracle {
   MinerSolveOptions options_;
   double budget_quantum_;
   int miner_count_;
-  ClassPartition partition_;
-  /// Shared with every profile this oracle returns (O(K) profile copies).
+  std::vector<MinerClass> classes_;
+  /// Shared with every profile this oracle returns (O(K) profile copies);
+  /// owns the partition's miner-index -> class-index map.
   std::shared_ptr<const EquilibriumProfile::ClassShape> shape_;
   std::vector<double> class_weights_;  ///< miners per class, as doubles
   std::uint64_t env_hash_;  ///< budgets are hashed once at construction

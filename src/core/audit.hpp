@@ -8,7 +8,7 @@
 // point, and whether the leader prices survive a local perturbation. The
 // auditor computes those certificates from first principles — it never
 // trusts the solver's own converged flag — so tests, the CLI (--audit) and
-// the perf-regression ledger can assert on them.
+// the benchmark's answer checks can assert on them.
 #pragma once
 
 #include <iosfwd>

@@ -17,8 +17,8 @@
 // below the leader tolerance (1e-5): the leader's profit is flat near its
 // optimum, so a 1e-7 shift in the follower solves can move the scans to
 // another point of that plateau. Measured with a default cache against
-// none: on bench_perf_leader_stage's homogeneous game P_e moves 6.2774 ->
-// 6.3190, and on the first 8 price-profile benchmark games (distinct
+// none: on the homogeneous leader-stage game (n = 5, B = 200, grid 40)
+// P_e moves 6.2774 -> 6.3190, and on the first 8 price-profile benchmark games (distinct
 // budgets, connected and standalone) P_e moves by up to 2.1%, V_c by
 // 0.02-0.46% and V_e by up to 0.02%.
 //

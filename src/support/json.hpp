@@ -1,18 +1,18 @@
 // Minimal JSON reader and writer for the project's own machine-readable
 // artifacts.
 //
-// hecmine emits JSON in several places (telemetry sinks, BENCH_*.json
-// ledger entries, --iteration-log JSONL, trace timelines, run manifests)
-// and the repo deliberately carries no third-party JSON dependency.
-// bench_compare and the audit tests must parse those artifacts, so this
-// header provides a small recursive-descent parser producing an immutable
-// Value tree; every emitter goes through the streaming Writer below so
-// string escaping and number formatting live in exactly one place.
+// hecmine emits JSON in several places (telemetry sinks, --iteration-log
+// JSONL, trace timelines, run manifests, block logs) and the repo
+// deliberately carries no third-party JSON dependency. The report tools
+// and the tests must parse those artifacts, so this header provides a
+// small recursive-descent parser producing an immutable Value tree; every
+// emitter goes through the streaming Writer below so string escaping and
+// number formatting live in exactly one place.
 //
 // Parser scope: full JSON syntax (objects, arrays, strings with escapes
 // including \uXXXX, numbers, true/false/null) with a fixed nesting-depth
 // bound. Not a streaming parser and not tuned for huge documents — the
-// ledger files it reads are a few kilobytes.
+// readers parse one JSONL record or one trace document at a time.
 #pragma once
 
 #include <cstddef>
@@ -27,7 +27,7 @@
 namespace hecmine::support::json {
 
 /// One parsed JSON value. Accessors HECMINE_REQUIRE the matching kind, so
-/// schema mismatches in ledger files fail with a message instead of UB.
+/// schema mismatches in artifact files fail with a message instead of UB.
 class Value {
  public:
   using Array = std::vector<Value>;
@@ -105,7 +105,7 @@ void number(std::ostream& os, double value);
 /// either *compact* (members separated by ", " on one line — the style of
 /// JSONL records and small inline objects) or *block* (one member per
 /// line, indented two spaces per depth — the style of the top-level
-/// telemetry/ledger documents). Empty containers always print as {} / [].
+/// telemetry documents). Empty containers always print as {} / [].
 ///
 ///   Writer w(os);
 ///   w.begin_object(Writer::kBlock);

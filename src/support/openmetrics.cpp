@@ -138,8 +138,6 @@ std::string render_openmetrics(const Telemetry& telemetry) {
     om_label_value(os, manifest.compiler);
     os << ",sanitizer=";
     om_label_value(os, manifest.sanitizer);
-    os << ",isa=";
-    om_label_value(os, manifest.isa);
     os << "} 1\n";
   }
 

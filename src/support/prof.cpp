@@ -32,8 +32,6 @@ const char* work_field_name(WorkField field) noexcept {
       return "cache_hits";
     case WorkField::kCacheMisses:
       return "cache_misses";
-    case WorkField::kSoaBytesMoved:
-      return "soa_bytes_moved";
   }
   return "unknown";
 }

@@ -59,10 +59,9 @@ enum class WorkField : std::size_t {
   kConvergenceChecks,     ///< residual / stopping-rule evaluations
   kCacheHits,             ///< follower-equilibrium cache hits
   kCacheMisses,           ///< follower-equilibrium cache misses
-  kSoaBytesMoved,         ///< bytes staged through AoS<->SoA converters
 };
 
-inline constexpr std::size_t kWorkFieldCount = 10;
+inline constexpr std::size_t kWorkFieldCount = 9;
 
 /// Stable export name of a field ("sweeps", "best_response_evals", ...).
 [[nodiscard]] const char* work_field_name(WorkField field) noexcept;

@@ -20,9 +20,6 @@
 #ifndef HECMINE_SANITIZE_MODE
 #define HECMINE_SANITIZE_MODE ""
 #endif
-#ifndef HECMINE_ISA
-#define HECMINE_ISA "generic"
-#endif
 
 namespace hecmine::support::provenance {
 
@@ -43,7 +40,6 @@ std::string compiler_string() {
 const std::vector<SchemaVersion>& schema_versions() {
   // Sorted by artifact so manifests serialize deterministically.
   static const std::vector<SchemaVersion> kVersions = {
-      {"bench", "hecmine.bench.v1"},
       {"blocklog", "hecmine.blocklog.v1"},
       {"flight", "hecmine.flight.v1"},
       {"health", "hecmine.health.v1"},
@@ -67,7 +63,6 @@ RunManifest collect() {
   manifest.build_type = HECMINE_BUILD_TYPE;
   manifest.compiler = compiler_string();
   manifest.sanitizer = HECMINE_SANITIZE_MODE;
-  manifest.isa = HECMINE_ISA;
   manifest.hardware_concurrency =
       static_cast<int>(std::thread::hardware_concurrency());
 #if defined(__unix__) || defined(__APPLE__)
@@ -101,7 +96,6 @@ void write(json::Writer& writer, const RunManifest& manifest) {
   writer.member("build_type", manifest.build_type);
   writer.member("compiler", manifest.compiler);
   writer.member("sanitizer", manifest.sanitizer);
-  writer.member("isa", manifest.isa);
   writer.member("perf_sampler", manifest.perf_sampler);
   writer.member("os", manifest.os);
   writer.member("host", manifest.host);

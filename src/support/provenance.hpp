@@ -2,13 +2,13 @@
 // artifact" record embedded in every machine-readable export.
 //
 // Telemetry profiles, iteration logs, trace timelines, flight-recorder
-// streams and bench ledgers are only trustworthy when the reader can tell
-// *what* produced them: comparing a Release ledger against a TSan one, or
+// streams and block logs are only trustworthy when the reader can tell
+// *what* produced them: comparing a Release profile against a TSan one, or
 // a trace from last week's tree against today's, silently lies. A
 // RunManifest (schema hecmine.manifest.v1) pins down:
 //
 //   * the build  — git sha (baked at configure time), CMake build type,
-//     compiler id + version, sanitizer mode, ISA flag string,
+//     compiler id + version, sanitizer mode,
 //   * the host   — OS/hostname and hardware concurrency,
 //   * the run    — resolved thread count, RNG root seed, CLI arguments,
 //   * the schemas — the version of every artifact format this binary
@@ -17,8 +17,8 @@
 // collect() fills the build/host half from compile-time definitions and
 // uname; the run half (threads/seed/args) is the caller's. The manifest is
 // deliberately timestamp-free: identical inputs serialize identically, so
-// manifests can be compared byte-wise (bench_compare does) and golden
-// tests stay deterministic.
+// manifests can be compared byte-wise and golden tests stay
+// deterministic.
 #pragma once
 
 #include <cstdint>
@@ -45,7 +45,7 @@ struct SchemaVersion {
 [[nodiscard]] const std::vector<SchemaVersion>& schema_versions();
 
 /// Version tag for one artifact name ("telemetry", "trace", "iterlog",
-/// "bench", "flight", "manifest"); empty when unknown.
+/// "flight", "manifest"); empty when unknown.
 [[nodiscard]] std::string schema_version(const std::string& artifact);
 
 /// The provenance record. Build/host fields come from collect(); the run
@@ -56,11 +56,9 @@ struct RunManifest {
   std::string build_type;  ///< CMAKE_BUILD_TYPE
   std::string compiler;    ///< compiler id + __VERSION__
   std::string sanitizer;   ///< HECMINE_SANITIZE ("" = none)
-  std::string isa;         ///< ISA flag string ("generic", or
-                           ///< "-march=native" under HECMINE_NATIVE)
   /// Hardware perf sampler state of the run: "off" (default), "on", or
   /// "unavailable: <reason>" (prof::PerfSampler::status()). Sampling adds
-  /// per-span read overhead, so ledgers record whether it was live.
+  /// per-span read overhead, so artifacts record whether it was live.
   std::string perf_sampler = "off";
   std::string os;          ///< uname sysname + release
   std::string host;        ///< uname nodename

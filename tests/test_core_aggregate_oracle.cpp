@@ -247,6 +247,18 @@ TEST(ProfileOracleDispatch, ThresholdAndClassCapGateTheAggregateOracle) {
   auto oracle =
       make_profile_oracle(params, budgets, EdgeMode::kConnected, context);
   EXPECT_NE(dynamic_cast<const ClassAggregateOracle*>(oracle.get()), nullptr);
+  // The dispatched oracle is the directly built one: same identity hash and
+  // a bitwise-equal solve, down to the per-miner expansion.
+  const ClassAggregateOracle direct(params, budgets, EdgeMode::kConnected);
+  EXPECT_EQ(oracle->env_hash(), direct.env_hash());
+  const Prices prices{2.0, 1.0};
+  const EquilibriumProfile dispatched = oracle->solve(prices);
+  const EquilibriumProfile reference = direct.solve(prices);
+  ASSERT_EQ(dispatched.expanded().size(), budgets.size());
+  for (std::size_t i = 0; i < budgets.size(); ++i) {
+    EXPECT_EQ(dispatched.request(i).edge, reference.request(i).edge);
+    EXPECT_EQ(dispatched.request(i).cloud, reference.request(i).cloud);
+  }
   // Pool smaller than the threshold: dense.
   context.aggregate.dispatch_threshold = 6;
   oracle = make_profile_oracle(params, budgets, EdgeMode::kConnected, context);

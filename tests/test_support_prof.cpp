@@ -52,7 +52,7 @@ TEST(WorkCounters, FieldNamesAreStableAndDistinct) {
   for (std::size_t i = 0; i < prof::kWorkFieldCount; ++i)
     names.emplace_back(prof::work_field_name(static_cast<WorkField>(i)));
   EXPECT_EQ(names.front(), "sweeps");
-  EXPECT_EQ(names.back(), "soa_bytes_moved");
+  EXPECT_EQ(names.back(), "cache_misses");
   for (std::size_t i = 0; i < names.size(); ++i)
     for (std::size_t j = i + 1; j < names.size(); ++j)
       EXPECT_NE(names[i], names[j]);
@@ -63,11 +63,11 @@ TEST(ThreadWorkBlock, AddAndSnapshot) {
   block.add(WorkField::kSweeps, 2);
   block.add(WorkField::kSweeps, 3);
   prof::WorkCounters bulk;
-  bulk[WorkField::kSoaBytesMoved] = 1024;
+  bulk[WorkField::kCacheMisses] = 1024;
   block.add(bulk);
   const prof::WorkCounters snap = block.snapshot();
   EXPECT_EQ(snap[WorkField::kSweeps], 5u);
-  EXPECT_EQ(snap[WorkField::kSoaBytesMoved], 1024u);
+  EXPECT_EQ(snap[WorkField::kCacheMisses], 1024u);
   EXPECT_EQ(snap[WorkField::kCacheHits], 0u);
 }
 

@@ -1,7 +1,7 @@
 // Run-provenance tests: manifest determinism (identical inputs serialize
 // identically, no timestamps), the schema-version table, run-half
 // stamping from CLI arguments, and the embedded-manifest JSON shape that
-// bench_compare and the trace/flight readers rely on.
+// the trace/flight readers rely on.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -68,7 +68,6 @@ TEST(Provenance, SchemaTableCoversEveryArtifact) {
   EXPECT_EQ(provenance::schema_version("telemetry"), "hecmine.telemetry.v1");
   EXPECT_EQ(provenance::schema_version("trace"), "hecmine.trace.v1");
   EXPECT_EQ(provenance::schema_version("iterlog"), "hecmine.iterlog.v1");
-  EXPECT_EQ(provenance::schema_version("bench"), "hecmine.bench.v1");
   EXPECT_EQ(provenance::schema_version("flight"), "hecmine.flight.v1");
   EXPECT_EQ(provenance::schema_version("manifest"), "hecmine.manifest.v1");
   EXPECT_TRUE(provenance::schema_version("no-such-artifact").empty());
